@@ -23,6 +23,12 @@ Result<size_t> RoundTable::ModuleIndex(std::string_view name) const {
   return NotFoundError("no module named '" + std::string(name) + "'");
 }
 
+void RoundTable::Clear() {
+  rounds_ = 0;
+  values_.clear();
+  presents_.clear();
+}
+
 Status RoundTable::AppendRound(std::vector<Reading> readings) {
   if (readings.size() != module_count()) {
     return InvalidArgumentError(

@@ -51,6 +51,9 @@ class RoundTable {
   size_t round_count() const { return rounds_; }
   bool empty() const { return rounds_ == 0; }
 
+  /// Drops every round; keeps the modules and the allocated capacity.
+  void Clear();
+
   const std::vector<std::string>& module_names() const { return module_names_; }
 
   /// Index of the named module, or error.

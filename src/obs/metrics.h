@@ -121,7 +121,8 @@ struct LatencySnapshot {
 /// Buckets are log-linear: values below 8 ns get exact buckets, then four
 /// sub-buckets per power of two up to ~9 minutes (larger values clamp into
 /// the last bucket).  Relative quantile error is therefore bounded by
-/// 12.5%.  Record is wait-free (two relaxed adds and one bin add).
+/// 12.5%.  Record is wait-free (one bin add and one sum add); the sample
+/// count is derived from the bins, so it can never disagree with them.
 class LatencyHistogram {
  public:
   static constexpr size_t kLinearBuckets = 8;  ///< exact 0..7 ns
@@ -142,7 +143,6 @@ class LatencyHistogram {
 
   void Record(uint64_t nanos) {
     bins_[BucketIndex(nanos)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(nanos, std::memory_order_relaxed);
   }
 
@@ -158,20 +158,20 @@ class LatencyHistogram {
     }
   }
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  /// Samples recorded so far: the sum of the bins.
+  uint64_t count() const;
   uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   uint64_t exemplar_trace_id() const {
     return exemplar_trace_id_.load(std::memory_order_relaxed);
   }
 
-  /// Copies the bins.  Concurrent Records may straddle the copy; the
-  /// snapshot is still a valid histogram of a subset/superset boundary at
-  /// most one in-flight Record wide per writer.
+  /// Copies the bins; `count` is their sum.  Concurrent Records may
+  /// straddle the copy (and `sum` may lead or lag the bins by the
+  /// in-flight Records), but the snapshot is still a valid histogram.
   LatencySnapshot Snapshot() const;
 
  private:
   std::array<std::atomic<uint64_t>, kBucketCount> bins_{};
-  std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> exemplar_trace_id_{0};
   std::atomic<uint64_t> exemplar_nanos_{0};

@@ -200,9 +200,11 @@ class Tracer {
 std::string FormatSpanLine(const SpanRecord& record);
 
 /// The calling thread's innermost open span (tracer nullptr when none).
-/// This is how layers that never see the wire context — the engine batch
-/// under GroupRunner, the WAL append under the engine — find the span to
-/// parent under without threading contexts through every call signature.
+/// This is how layers that never see the wire context — the
+/// "engine.batch" span GroupRunner::SubmitBatch opens under the server
+/// verb span, and the WAL appends the voter's history persist and the
+/// sink's trace persist make inside it — find the span to parent under
+/// without threading contexts through every call signature.
 struct CurrentSpan {
   Tracer* tracer = nullptr;
   SpanContext context;

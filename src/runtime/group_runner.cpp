@@ -4,10 +4,9 @@
 
 namespace avoc::runtime {
 
-GroupRunner::GroupRunner(std::vector<SensorNode::Generator> generators,
+GroupRunner::GroupRunner(std::vector<Generator> generators,
                          core::VotingEngine engine, Options options)
-    : options_(std::move(options)),
-      channels_(std::make_unique<GroupChannels>()) {
+    : options_(std::move(options)), generators_(std::move(generators)) {
   HubTelemetry hub_telemetry;
   SinkTelemetry sink_telemetry;
   if (options_.registry != nullptr) {
@@ -31,31 +30,23 @@ GroupRunner::GroupRunner(std::vector<SensorNode::Generator> generators,
     obs::MetricsObserverOptions observer_options;
     observer_options.scope = options_.group;
     observer_options.scope_label = "group";
-    observer_options.sample_every = options_.metrics_sample_every;
     // Live rounds tick at millisecond cadence; flushing every round keeps
     // scrapes exact for negligible cost.
     observer_options.flush_every = 1;
-    observer_options.exclusion_streak_alert = options_.exclusion_streak_alert;
     observer_options.tracer = options_.tracer;
     observer_ = std::make_unique<obs::MetricsObserver>(
         reg, std::move(observer_options));
-    // The voter serializes rounds under its mutex, satisfying the
-    // observer's one-scope threading contract.
+    // Every vote runs under the group lock, satisfying the observer's
+    // one-scope threading contract.
     engine.set_observer(observer_.get());
   }
-  hub_ = std::make_unique<HubNode>(engine.module_count(), *channels_,
-                                   options_.hub_close_at_count, hub_telemetry);
-  VoterOptions voter_options;
-  voter_options.group = options_.group;
-  voter_options.store = options_.store;
-  voter_ = std::make_unique<VoterNode>(std::move(engine), *channels_,
-                                       std::move(voter_options));
-  sink_ = std::make_unique<SinkNode>(*channels_, sink_telemetry,
-                                     options_.trace_store, options_.group);
-  for (size_t m = 0; m < generators.size(); ++m) {
-    sensors_.push_back(std::make_unique<SensorNode>(
-        m, std::move(generators[m]), channels_->readings));
-  }
+  const size_t modules = engine.module_count();
+  hub_.reset(new HubNode(modules, mutex_, hub_telemetry));
+  voter_.reset(new VoterNode(std::move(engine), mutex_, options_.group,
+                             options_.store));
+  sink_.reset(new SinkNode(mutex_, sink_telemetry, options_.trace_store,
+                           options_.group));
+  closed_.table = data::RoundTable::WithModuleCount(modules);
 }
 
 Result<std::unique_ptr<GroupRunner>> GroupRunner::Create(
@@ -68,7 +59,7 @@ Result<std::unique_ptr<GroupRunner>> GroupRunner::Create(
 }
 
 Result<std::unique_ptr<GroupRunner>> GroupRunner::WithGenerators(
-    std::vector<SensorNode::Generator> generators, core::VotingEngine engine,
+    std::vector<Generator> generators, core::VotingEngine engine,
     Options options) {
   if (generators.size() != engine.module_count()) {
     return InvalidArgumentError("generator/engine module count mismatch");
@@ -88,7 +79,7 @@ Result<std::unique_ptr<GroupRunner>> GroupRunner::FromTable(
     Options options) {
   // Copy the table into a shared replay buffer the generators index into.
   auto shared = std::make_shared<data::RoundTable>(table);
-  std::vector<SensorNode::Generator> generators;
+  std::vector<Generator> generators;
   generators.reserve(table.module_count());
   for (size_t m = 0; m < table.module_count(); ++m) {
     generators.push_back(
@@ -101,20 +92,42 @@ Result<std::unique_ptr<GroupRunner>> GroupRunner::FromTable(
                         std::move(options));
 }
 
+BatchIngestStats GroupRunner::Ingest(std::span<const ReadingMessage> readings,
+                                     std::optional<size_t> close_round) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const BatchIngestStats stats = hub_->Ingest(readings, closed_);
+  if (close_round.has_value()) hub_->Close(*close_round, closed_);
+  if (!closed_.rounds.empty()) {
+    const Result<core::TraceView> trace = voter_->Vote(closed_.table);
+    if (trace.ok()) sink_->Append(*trace, closed_.rounds);
+    closed_.rounds.clear();
+    closed_.table.Clear();
+  }
+  return stats;
+}
+
 void GroupRunner::RunRound(size_t round) {
-  for (const auto& sensor : sensors_) {
-    sensor->Emit(round);
+  std::vector<ReadingMessage> readings;
+  readings.reserve(generators_.size());
+  for (size_t m = 0; m < generators_.size(); ++m) {
+    if (const std::optional<double> value = generators_[m](round)) {
+      readings.push_back(ReadingMessage{m, round, *value});
+    }
   }
   // Timeout stand-in: whatever has not arrived by now is missing.
-  hub_->Flush(round, /*publish_empty=*/true);
+  Ingest(readings, round);
 }
 
 std::vector<std::thread> GroupRunner::EmitAsync(size_t round) {
   std::vector<std::thread> workers;
-  workers.reserve(sensors_.size());
-  for (const auto& sensor : sensors_) {
-    SensorNode* raw = sensor.get();
-    workers.emplace_back([raw, round] { raw->Emit(round); });
+  workers.reserve(generators_.size());
+  for (size_t m = 0; m < generators_.size(); ++m) {
+    workers.emplace_back([this, m, round] {
+      if (const std::optional<double> value = generators_[m](round)) {
+        const ReadingMessage reading{m, round, *value};
+        Ingest({&reading, 1});
+      }
+    });
   }
   return workers;
 }
@@ -124,13 +137,14 @@ Status GroupRunner::Submit(size_t module, size_t round, double value) {
     return OutOfRangeError("module index out of range for group '" +
                            options_.group + "'");
   }
-  channels_->readings.Publish(ReadingMessage{module, round, value});
+  const ReadingMessage reading{module, round, value};
+  Ingest({&reading, 1});
   return Status::Ok();
 }
 
 BatchIngestStats GroupRunner::SubmitBatch(
     std::span<const ReadingMessage> readings) {
-  if (options_.tracer == nullptr) return hub_->IngestBatch(readings);
+  if (options_.tracer == nullptr) return Ingest(readings);
   // Parent the engine span to whatever span is current on this thread
   // (the server verb span when reached over the wire).
   obs::SpanContext parent;
@@ -140,7 +154,7 @@ BatchIngestStats GroupRunner::SubmitBatch(
   }
   obs::ScopedSpan span(options_.tracer, obs::SpanKind::kEngine,
                        "engine.batch", parent);
-  const BatchIngestStats stats = hub_->IngestBatch(readings);
+  const BatchIngestStats stats = Ingest(readings);
   if (span.active()) {
     span.SetDetailF("group=%s readings=%zu rounds=%zu",
                     options_.group.c_str(), readings.size(),
@@ -149,22 +163,31 @@ BatchIngestStats GroupRunner::SubmitBatch(
   return stats;
 }
 
-void GroupRunner::FlushRound(size_t round) {
-  hub_->Flush(round, /*publish_empty=*/true);
-}
+void GroupRunner::FlushRound(size_t round) { Ingest({}, round); }
 
 GroupRunner::State GroupRunner::ExportState() const {
+  std::lock_guard<std::mutex> lock(mutex_);
   State state;
   state.engine = voter_->ExportEngineState();
   state.hub = hub_->ExportState();
-  state.outputs = sink_->outputs();
+  state.outputs = sink_->MaterializeOutputs();
   return state;
 }
 
 Status GroupRunner::RestoreState(const State& state) {
+  // Migrated rows enter the sink through its one append path, as if they
+  // had just been voted.
+  core::BatchTrace restored(module_count());
+  std::vector<size_t> rounds;
+  rounds.reserve(state.outputs.size());
+  for (const OutputMessage& output : state.outputs) {
+    restored.Append(output.result);
+    rounds.push_back(output.round);
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
   AVOC_RETURN_IF_ERROR(voter_->RestoreEngineState(state.engine));
   hub_->RestoreState(state.hub);
-  sink_->RestoreOutputs(state.outputs);
+  sink_->Append(restored.view(), rounds);
   return Status::Ok();
 }
 

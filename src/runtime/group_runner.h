@@ -1,22 +1,27 @@
 // GroupRunner: the one driver behind every execution mode.
 //
-// Exactly one sensor→hub→voter→sink chain per voter group used to be
-// wired by hand in three places (the replay Pipeline, the threaded
-// VoterService, the multi-group manager).  GroupRunner owns that wiring
-// once and exposes the three ways a round can be dispatched:
+// GroupRunner owns one voter group's hub → voter → sink chain
+// (runtime/nodes.h) and calls it directly: every dispatch takes the
+// group lock, hands the readings to the hub, votes the rounds the hub
+// closed in one columnar engine pass, and appends the rows to the sink.
+// There is one such path; the dispatch shapes differ only in where the
+// readings come from and when a round is force-closed:
 //
-//   * RunRound    — synchronous emit-then-close (deterministic replay),
+//   * RunRound    — synchronous sample-then-close (deterministic replay),
 //   * EmitAsync + FlushRound — per-sensor worker threads with a
 //     caller-controlled timeout (soft real-time service),
-//   * Submit + FlushRound    — externally-fed readings (group manager,
-//     TCP voter service).
+//   * Submit / SubmitBatch + FlushRound — externally-fed readings (group
+//     manager, TCP voter service).
 //
 // The drivers above are thin adapters over these calls; a new execution
-// mode (sharded batch, remote shard, ...) starts here instead of
-// re-wiring nodes.
+// mode starts here instead of re-wiring nodes.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,18 +44,11 @@ struct GroupRunnerOptions {
   /// Persist every sink row as a trace point under `group` (optional);
   /// the durable feed behind QUERY_RANGE.
   storage::TraceBackend* trace_store = nullptr;
-  /// Hub UNTIL-quorum: close a round once this many readings arrived
-  /// (0 = close when every module reported or the round is flushed).
-  size_t hub_close_at_count = 0;
   /// Telemetry registry (optional).  When set, the runner attaches an
-  /// obs::MetricsObserver to the voter and instruments the hub and sink;
-  /// all metrics are labeled group="<group>".  The registry must outlive
-  /// the runner.
+  /// obs::MetricsObserver (default sampling, streak alerts off) to the
+  /// voter and instruments the hub and sink; all metrics are labeled
+  /// group="<group>".  The registry must outlive the runner.
   obs::Registry* registry = nullptr;
-  /// Stage/round latency sampling period for the metrics observer.
-  size_t metrics_sample_every = 16;
-  /// Exclusion-streak alert threshold (0 = off); see MetricsObserverOptions.
-  size_t exclusion_streak_alert = 0;
   /// Flight-recorder tracer (optional).  SubmitBatch wraps its columnar
   /// engine pass in an "engine.batch" span parented to the caller's
   /// current span, and sampled rounds emit per-stage events.
@@ -60,14 +58,17 @@ struct GroupRunnerOptions {
 class GroupRunner {
  public:
   using Options = GroupRunnerOptions;
+  /// Samples one module's sensor for a round; nullopt means the sensor
+  /// had nothing to report.
+  using Generator = std::function<std::optional<double>(size_t round)>;
 
-  /// Externally-fed group: no sensor nodes, readings arrive via Submit.
+  /// Externally-fed group: no generators, readings arrive via Submit.
   static Result<std::unique_ptr<GroupRunner>> Create(
       core::VotingEngine engine, Options options = {});
 
-  /// Sensor-driven group: one SensorNode per generator (one per module).
+  /// Sensor-driven group: one generator per module.
   static Result<std::unique_ptr<GroupRunner>> WithGenerators(
-      std::vector<SensorNode::Generator> generators,
+      std::vector<Generator> generators,
       core::VotingEngine engine, Options options = {});
 
   /// Replays a recorded table; rounds beyond the table produce only
@@ -81,23 +82,25 @@ class GroupRunner {
 
   // --- Round dispatch -------------------------------------------------------
 
-  /// Synchronous round: every sensor emits in registration order, then the
-  /// round closes (silent sensors become missing values).
+  /// Synchronous round: every generator is sampled in module order, then
+  /// the round closes (silent sensors become missing values).
   void RunRound(size_t round);
 
-  /// Concurrent round: every sensor emits from its own short-lived worker
-  /// so a slow sensor cannot stall the others.  The caller closes the
-  /// round (FlushRound) at its timeout, then joins the returned workers;
-  /// a publish that loses the race is dropped against the closed round.
+  /// Concurrent round: every generator is sampled on its own short-lived
+  /// worker so a slow sensor cannot stall the others.  The caller closes
+  /// the round (FlushRound) at its timeout, then joins the returned
+  /// workers; a reading that loses the race is dropped against the
+  /// closed round.
   std::vector<std::thread> EmitAsync(size_t round);
 
   /// Routes one external reading into the hub.  The round closes on its
-  /// own once every module (or the UNTIL count) reported.
+  /// own once every module reported.
   Status Submit(size_t module, size_t round, double value);
 
   /// Routes many readings into the hub under one lock; every round the
   /// batch completes is voted in ONE columnar engine call (the framed
-  /// remote path).  Bad readings are counted in the stats, not fatal.
+  /// remote path), inside an "engine.batch" span when a tracer is set.
+  /// Bad readings are counted in the stats, not fatal.
   BatchIngestStats SubmitBatch(std::span<const ReadingMessage> readings);
 
   /// Force-closes `round`: whatever has not arrived is missing.  No-op
@@ -121,7 +124,7 @@ class GroupRunner {
 
   const std::string& group() const { return options_.group; }
   size_t module_count() const { return hub_->module_count(); }
-  size_t sensor_count() const { return sensors_.size(); }
+  size_t sensor_count() const { return generators_.size(); }
   const SinkNode& sink() const { return *sink_; }
   const VoterNode& voter() const { return *voter_; }
   const HubNode& hub() const { return *hub_; }
@@ -129,20 +132,26 @@ class GroupRunner {
   const obs::MetricsObserver* metrics() const { return observer_.get(); }
 
  private:
-  GroupRunner(std::vector<SensorNode::Generator> generators,
-              core::VotingEngine engine, Options options);
+  GroupRunner(std::vector<Generator> generators, core::VotingEngine engine,
+              Options options);
+
+  /// The one hub → voter → sink pass: ingests `readings`, force-closes
+  /// `close_round` when set, and votes every round that closed.
+  BatchIngestStats Ingest(std::span<const ReadingMessage> readings,
+                          std::optional<size_t> close_round = std::nullopt);
 
   Options options_;
   /// Watches the voter engine; must outlive voter_ (declared first so it
   /// destructs last).  Null without a registry.
   std::unique_ptr<obs::MetricsObserver> observer_;
-  // Channels must outlive the nodes; heap allocation keeps addresses
-  // stable for the node back-references.
-  std::unique_ptr<GroupChannels> channels_;
-  std::vector<std::unique_ptr<SensorNode>> sensors_;
+  std::vector<Generator> generators_;
+  /// The group lock: serializes every pass through the chain and guards
+  /// the nodes' read side.
+  mutable std::mutex mutex_;
   std::unique_ptr<HubNode> hub_;
   std::unique_ptr<VoterNode> voter_;
   std::unique_ptr<SinkNode> sink_;
+  ClosedRounds closed_;  ///< hub → voter scratch, empty between passes
 };
 
 }  // namespace avoc::runtime

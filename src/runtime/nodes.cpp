@@ -7,166 +7,98 @@
 
 namespace avoc::runtime {
 
-SensorNode::SensorNode(size_t module, Generator generator,
-                       Topic<ReadingMessage>& readings)
-    : module_(module), generator_(std::move(generator)), readings_(&readings) {}
-
-void SensorNode::Emit(size_t round) {
-  const std::optional<double> value = generator_(round);
-  if (!value.has_value()) return;
-  readings_->Publish(ReadingMessage{module_, round, *value});
-}
-
-HubNode::HubNode(size_t module_count, GroupChannels& channels,
-                 size_t close_at_count, HubTelemetry telemetry)
+HubNode::HubNode(size_t module_count, std::mutex& group_mutex,
+                 HubTelemetry telemetry)
     : module_count_(module_count),
-      close_at_count_(close_at_count == 0
-                          ? module_count
-                          : std::min(close_at_count, module_count)),
-      channels_(&channels),
-      telemetry_(telemetry) {
-  subscription_ = channels_->readings.Subscribe(
-      [this](const ReadingMessage& message) { OnReading(message); });
-}
+      group_mutex_(group_mutex),
+      telemetry_(telemetry) {}
 
-HubNode::~HubNode() { channels_->readings.Unsubscribe(subscription_); }
-
-void HubNode::OnReading(const ReadingMessage& message) {
-  if (message.module >= module_count_) {
-    AVOC_LOG_WARN("hub: reading for unknown module %zu dropped",
-                  message.module);
-    return;
-  }
-  core::Round complete;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
+BatchIngestStats HubNode::Ingest(std::span<const ReadingMessage> readings,
+                                 ClosedRounds& closed) {
+  BatchIngestStats stats;
+  const size_t closed_before = closed.rounds.size();
+  for (const ReadingMessage& message : readings) {
+    if (message.module >= module_count_) {
+      ++stats.rejected;
+      continue;
+    }
     if (closed_.count(message.round)) {
-      // Late reading, round gone.
+      ++stats.late;
       if (telemetry_.late_readings != nullptr) {
         telemetry_.late_readings->Increment();
       }
-      return;
+      continue;
     }
-    if (telemetry_.readings != nullptr) telemetry_.readings->Increment();
-    core::Round& pending = pending_[message.round];
+    ++stats.accepted;
+    auto it = pending_.try_emplace(message.round).first;
+    core::Round& pending = it->second;
     if (pending.empty()) pending.resize(module_count_);
     pending[message.module] = message.value;
-    size_t present = 0;
-    for (const auto& reading : pending) {
-      if (reading.has_value()) ++present;
-    }
-    if (present < close_at_count_) {
-      if (telemetry_.open_rounds != nullptr) {
-        telemetry_.open_rounds->Set(static_cast<double>(pending_.size()));
-      }
-      return;
-    }
-    complete = std::move(pending);
-    pending_.erase(message.round);
-    closed_[message.round] = true;
-    NoteClosedLocked(message.round);
+    const bool complete =
+        std::all_of(pending.begin(), pending.end(),
+                    [](const core::Reading& r) { return r.has_value(); });
+    if (!complete) continue;
+    core::Round complete_round = std::move(pending);
+    pending_.erase(it);
+    CloseRound(message.round, std::move(complete_round), closed);
   }
-  channels_->rounds.Publish(RoundMessage{message.round, std::move(complete)});
-}
-
-void HubNode::Flush(size_t round, bool publish_empty) {
-  core::Round readings;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_.count(round)) return;
-    auto it = pending_.find(round);
-    if (it == pending_.end()) {
-      if (!publish_empty) return;
-      readings.resize(module_count_);
-    } else {
-      readings = std::move(it->second);
-      pending_.erase(it);
-    }
-    closed_[round] = true;
-    NoteClosedLocked(round);
+  if (telemetry_.readings != nullptr && stats.accepted > 0) {
+    telemetry_.readings->Add(static_cast<uint64_t>(stats.accepted));
   }
-  channels_->rounds.Publish(RoundMessage{round, std::move(readings)});
-}
-
-BatchIngestStats HubNode::IngestBatch(
-    std::span<const ReadingMessage> readings) {
-  BatchIngestStats stats;
-  std::vector<size_t> closed_rounds;
-  data::RoundTable table = data::RoundTable::WithModuleCount(module_count_);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const ReadingMessage& message : readings) {
-      if (message.module >= module_count_) {
-        ++stats.rejected;
-        continue;
-      }
-      if (closed_.count(message.round)) {
-        ++stats.late;
-        if (telemetry_.late_readings != nullptr) {
-          telemetry_.late_readings->Increment();
-        }
-        continue;
-      }
-      ++stats.accepted;
-      core::Round& pending = pending_[message.round];
-      if (pending.empty()) pending.resize(module_count_);
-      pending[message.module] = message.value;
-      size_t present = 0;
-      for (const auto& reading : pending) {
-        if (reading.has_value()) ++present;
-      }
-      if (present < close_at_count_) continue;
-      (void)table.AppendRound(std::move(pending));
-      pending_.erase(message.round);
-      closed_[message.round] = true;
-      NoteClosedLocked(message.round);
-      closed_rounds.push_back(message.round);
-    }
-    if (telemetry_.readings != nullptr && stats.accepted > 0) {
-      telemetry_.readings->Add(static_cast<uint64_t>(stats.accepted));
-    }
-    if (telemetry_.open_rounds != nullptr) {
-      telemetry_.open_rounds->Set(static_cast<double>(pending_.size()));
-    }
-  }
-  stats.rounds_closed = closed_rounds.size();
-  if (!closed_rounds.empty()) {
-    channels_->round_batches.Publish(RoundBatchMessage{&closed_rounds, &table});
-  }
+  SetOpenRoundsGauge();
+  stats.rounds_closed = closed.rounds.size() - closed_before;
   return stats;
 }
 
-void HubNode::NoteClosedLocked(size_t round) {
-  if (telemetry_.rounds_closed != nullptr) telemetry_.rounds_closed->Increment();
-  if (telemetry_.open_rounds != nullptr) {
-    telemetry_.open_rounds->Set(static_cast<double>(pending_.size()));
+void HubNode::Close(size_t round, ClosedRounds& closed) {
+  if (closed_.count(round)) return;
+  core::Round readings;
+  auto it = pending_.find(round);
+  if (it == pending_.end()) {
+    readings.resize(module_count_);
+  } else {
+    readings = std::move(it->second);
+    pending_.erase(it);
   }
+  CloseRound(round, std::move(readings), closed);
+}
+
+void HubNode::CloseRound(size_t round, core::Round readings,
+                         ClosedRounds& closed) {
+  (void)closed.table.AppendRound(std::move(readings));
+  closed.rounds.push_back(round);
+  closed_.insert(round);
+  if (telemetry_.rounds_closed != nullptr) {
+    telemetry_.rounds_closed->Increment();
+  }
+  SetOpenRoundsGauge();
   if (telemetry_.last_closed_round != nullptr) {
     telemetry_.last_closed_round->Set(static_cast<double>(round));
   }
 }
 
+void HubNode::SetOpenRoundsGauge() {
+  if (telemetry_.open_rounds != nullptr) {
+    telemetry_.open_rounds->Set(static_cast<double>(pending_.size()));
+  }
+}
+
 size_t HubNode::open_rounds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(group_mutex_);
   return pending_.size();
 }
 
 HubNode::State HubNode::ExportState() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   State state;
   state.pending.reserve(pending_.size());
   for (const auto& [round, readings] : pending_) {
     state.pending.emplace_back(static_cast<uint64_t>(round), readings);
   }
-  state.closed_rounds.reserve(closed_.size());
-  for (const auto& [round, flag] : closed_) {
-    if (flag) state.closed_rounds.push_back(static_cast<uint64_t>(round));
-  }
+  state.closed_rounds.assign(closed_.begin(), closed_.end());
   return state;
 }
 
 void HubNode::RestoreState(const State& state) {
-  std::lock_guard<std::mutex> lock(mutex_);
   pending_.clear();
   closed_.clear();
   for (const auto& [round, readings] : state.pending) {
@@ -175,177 +107,90 @@ void HubNode::RestoreState(const State& state) {
     pending_[static_cast<size_t>(round)] = std::move(copy);
   }
   for (const uint64_t round : state.closed_rounds) {
-    closed_[static_cast<size_t>(round)] = true;
+    closed_.insert(static_cast<size_t>(round));
   }
-  if (telemetry_.open_rounds != nullptr) {
-    telemetry_.open_rounds->Set(static_cast<double>(pending_.size()));
-  }
+  SetOpenRoundsGauge();
 }
 
-VoterNode::VoterNode(core::VotingEngine engine, GroupChannels& channels,
-                     VoterOptions options)
+VoterNode::VoterNode(core::VotingEngine engine, std::mutex& group_mutex,
+                     std::string group, storage::HistoryBackend* store)
     : engine_(std::move(engine)),
-      channels_(&channels),
-      options_(std::move(options)) {
-  if (options_.store != nullptr) {
-    // Restore learned history from the datastore, if present.
-    auto snapshot = options_.store->Get(options_.group);
-    if (snapshot.ok() &&
-        snapshot->records.size() == engine_.module_count()) {
-      const Status restored =
-          engine_.RestoreHistory(snapshot->records, snapshot->rounds);
-      if (!restored.ok()) {
-        AVOC_LOG_WARN("voter '%s': history restore failed: %s",
-                      options_.group.c_str(),
-                      restored.ToString().c_str());
-      }
+      group_mutex_(group_mutex),
+      group_(std::move(group)),
+      store_(store) {
+  if (store_ == nullptr) return;
+  // Restore learned history from the datastore, if present.
+  auto snapshot = store_->Get(group_);
+  if (snapshot.ok() && snapshot->records.size() == engine_.module_count()) {
+    const Status restored =
+        engine_.RestoreHistory(snapshot->records, snapshot->rounds);
+    if (!restored.ok()) {
+      AVOC_LOG_WARN("voter '%s': history restore failed: %s", group_.c_str(),
+                    restored.ToString().c_str());
     }
   }
-  subscription_ = channels_->rounds.Subscribe(
-      [this](const RoundMessage& message) { OnRound(message); });
-  batch_subscription_ = channels_->round_batches.Subscribe(
-      [this](const RoundBatchMessage& message) { OnRoundBatch(message); });
 }
 
-VoterNode::~VoterNode() {
-  channels_->round_batches.Unsubscribe(batch_subscription_);
-  channels_->rounds.Unsubscribe(subscription_);
-}
-
-void VoterNode::OnRound(const RoundMessage& message) {
-  OutputMessage output;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto result = engine_.CastVote(message.readings);
-    if (!result.ok()) {
-      last_status_ = result.status();
-      AVOC_LOG_ERROR("voter '%s': round %zu failed: %s",
-                     options_.group.c_str(), message.round,
-                     result.status().ToString().c_str());
-      return;
-    }
-    output.round = message.round;
-    output.result = std::move(*result);
-    PersistHistoryLocked();
-  }
-  channels_->outputs.Publish(output);
-}
-
-void VoterNode::OnRoundBatch(const RoundBatchMessage& message) {
-  // One lock acquisition, one columnar engine call, one history persist
-  // for the whole batch.  The publish happens under the lock because the
-  // message borrows batch_trace_'s storage; subscribers must copy out, not
-  // call back into this voter.
-  std::lock_guard<std::mutex> lock(mutex_);
+Result<core::TraceView> VoterNode::Vote(const data::RoundTable& table) {
+  // One columnar engine call and one history persist for the whole batch.
   batch_trace_.Reset(engine_.module_count());
-  batch_trace_.ReserveRounds(message.table->round_count());
-  const Status status =
-      core::RunOverTable(engine_, *message.table, batch_trace_);
+  batch_trace_.ReserveRounds(table.round_count());
+  const Status status = core::RunOverTable(engine_, table, batch_trace_);
   if (!status.ok()) {
     last_status_ = status;
     AVOC_LOG_ERROR("voter '%s': batch of %zu rounds failed: %s",
-                   options_.group.c_str(), message.table->round_count(),
+                   group_.c_str(), table.round_count(),
                    status.ToString().c_str());
-    return;
+    return status;
   }
-  PersistHistoryLocked();
-  channels_->batches.Publish(
-      BatchOutputMessage{message.rounds, batch_trace_.view()});
+  PersistHistory();
+  return batch_trace_.view();
 }
 
-void VoterNode::PersistHistoryLocked() {
-  if (options_.store != nullptr) {
-    HistorySnapshot snapshot;
-    const auto records = engine_.history().records();
-    snapshot.records.assign(records.begin(), records.end());
-    snapshot.rounds = engine_.history().round_count();
-    last_status_ = options_.store->Put(options_.group, snapshot);
-  } else {
+void VoterNode::PersistHistory() {
+  if (store_ == nullptr) {
     last_status_ = Status::Ok();
+    return;
   }
+  HistorySnapshot snapshot;
+  const auto records = engine_.history().records();
+  snapshot.records.assign(records.begin(), records.end());
+  snapshot.rounds = engine_.history().round_count();
+  last_status_ = store_->Put(group_, snapshot);
 }
 
 Status VoterNode::last_status() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(group_mutex_);
   return last_status_;
 }
 
 core::VotingEngine::State VoterNode::ExportEngineState() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   return engine_.ExportState();
 }
 
 Status VoterNode::RestoreEngineState(const core::VotingEngine::State& state) {
-  std::lock_guard<std::mutex> lock(mutex_);
   AVOC_RETURN_IF_ERROR(engine_.RestoreState(state));
-  PersistHistoryLocked();
+  PersistHistory();
   return last_status_;
 }
 
-SinkNode::SinkNode(GroupChannels& channels, SinkTelemetry telemetry,
+SinkNode::SinkNode(std::mutex& group_mutex, SinkTelemetry telemetry,
                    storage::TraceBackend* trace_store, std::string group)
-    : channels_(&channels),
+    : group_mutex_(group_mutex),
       telemetry_(telemetry),
       trace_store_(trace_store),
-      group_(std::move(group)) {
-  subscription_ = channels_->outputs.Subscribe(
-      [this](const OutputMessage& message) { OnOutput(message); });
-  batch_subscription_ = channels_->batches.Subscribe(
-      [this](const BatchOutputMessage& message) { OnBatch(message); });
-}
+      group_(std::move(group)) {}
 
-SinkNode::~SinkNode() {
-  channels_->batches.Unsubscribe(batch_subscription_);
-  channels_->outputs.Unsubscribe(subscription_);
-}
-
-void SinkNode::OnOutput(const OutputMessage& message) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  trace_.Append(message.result);
-  rounds_.push_back(message.round);
-  NoteAppendedLocked(message.round, 1);
-  PersistAppendedLocked(1);
-}
-
-void SinkNode::OnBatch(const BatchOutputMessage& message) {
-  const size_t count = message.trace.round_count();
-  if (count == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Column-to-column copy out of the borrowed view; the message's storage
-  // is only valid during this publish.
-  for (size_t i = 0; i < count; ++i) {
-    trace_.AppendFrom(message.trace, i);
-    rounds_.push_back((*message.rounds)[i]);
+void SinkNode::Append(const core::TraceView& trace,
+                      std::span<const size_t> rounds) {
+  if (rounds.empty()) return;
+  for (size_t i = 0; i < rounds.size(); ++i) {
+    trace_.AppendFrom(trace, i);
+    rounds_.push_back(rounds[i]);
   }
-  size_t last_round = (*message.rounds)[0];
-  for (size_t i = 1; i < count; ++i) {
-    last_round = std::max(last_round, (*message.rounds)[i]);
-  }
-  NoteAppendedLocked(last_round, count);
-  PersistAppendedLocked(count);
-}
-
-void SinkNode::PersistAppendedLocked(size_t appended) {
-  if (trace_store_ == nullptr || appended == 0) return;
-  // Build the points from the rows just stored, not the message: what the
-  // backend holds is then bit-identical to this trace by construction.
-  std::vector<storage::TracePoint> points;
-  points.reserve(appended);
-  for (size_t i = rounds_.size() - appended; i < rounds_.size(); ++i) {
-    const std::optional<double> value = trace_.output(i);
-    points.push_back(storage::TracePoint{rounds_[i], value.value_or(0.0),
-                                         value.has_value()});
-  }
-  const Status persisted = trace_store_->AppendTrace(group_, points);
-  if (!persisted.ok()) {
-    AVOC_LOG_WARN("sink '%s': trace persist failed: %s", group_.c_str(),
-                  persisted.ToString().c_str());
-  }
-}
-
-void SinkNode::NoteAppendedLocked(size_t last_round, size_t appended) {
+  const size_t last_round = *std::max_element(rounds.begin(), rounds.end());
   if (telemetry_.outputs != nullptr) {
-    telemetry_.outputs->Add(static_cast<uint64_t>(appended));
+    telemetry_.outputs->Add(static_cast<uint64_t>(rounds.size()));
   }
   if (telemetry_.last_round != nullptr) {
     telemetry_.last_round->Set(static_cast<double>(last_round));
@@ -357,10 +202,24 @@ void SinkNode::NoteAppendedLocked(size_t last_round, size_t appended) {
     telemetry_.lag_rounds->Set(
         std::max(0.0, dispatched - static_cast<double>(rounds_.size())));
   }
+  if (trace_store_ == nullptr) return;
+  // Build the points from the rows just stored, not the input: what the
+  // backend holds is then bit-identical to this trace by construction.
+  std::vector<storage::TracePoint> points;
+  points.reserve(rounds.size());
+  for (size_t i = rounds_.size() - rounds.size(); i < rounds_.size(); ++i) {
+    const std::optional<double> value = trace_.output(i);
+    points.push_back(storage::TracePoint{rounds_[i], value.value_or(0.0),
+                                         value.has_value()});
+  }
+  const Status persisted = trace_store_->AppendTrace(group_, points);
+  if (!persisted.ok()) {
+    AVOC_LOG_WARN("sink '%s': trace persist failed: %s", group_.c_str(),
+                  persisted.ToString().c_str());
+  }
 }
 
-std::vector<OutputMessage> SinkNode::outputs() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+std::vector<OutputMessage> SinkNode::MaterializeOutputs() const {
   std::vector<OutputMessage> out;
   out.reserve(rounds_.size());
   for (size_t i = 0; i < rounds_.size(); ++i) {
@@ -369,24 +228,18 @@ std::vector<OutputMessage> SinkNode::outputs() const {
   return out;
 }
 
+std::vector<OutputMessage> SinkNode::outputs() const {
+  std::lock_guard<std::mutex> lock(group_mutex_);
+  return MaterializeOutputs();
+}
+
 size_t SinkNode::output_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(group_mutex_);
   return rounds_.size();
 }
 
-void SinkNode::RestoreOutputs(std::span<const OutputMessage> restored) {
-  if (restored.empty()) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const OutputMessage& message : restored) {
-    trace_.Append(message.result);
-    rounds_.push_back(message.round);
-  }
-  NoteAppendedLocked(restored.back().round, restored.size());
-  PersistAppendedLocked(restored.size());
-}
-
 std::optional<double> SinkNode::last_value() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(group_mutex_);
   for (size_t i = rounds_.size(); i-- > 0;) {
     const auto value = trace_.output(i);
     if (value.has_value()) return value;

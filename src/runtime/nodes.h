@@ -1,17 +1,22 @@
-// Middleware nodes: sensor → hub → voter → sink (Fig. 1's topology).
+// Middleware nodes: hub → voter → sink (Fig. 1's topology).
 //
-// Nodes exchange messages over typed Topics.  The HubNode plays the VINT
-// hub's role: it assembles per-round candidate sets from individual
-// sensor readings and closes a round either when every registered module
-// reported or when the round is flushed (timeout) — missing modules
-// become missing values, feeding the §7 missing-value fault scenario.
+// A GroupRunner (group_runner.h) owns one of each per voter group and
+// calls them directly, in order, under its group lock: the HubNode
+// assembles readings into rounds and hands back the ones it closed, the
+// VoterNode votes them in one columnar engine pass, and the SinkNode
+// appends the fused rows.  The hub plays the VINT hub's role: a round
+// closes when every registered module reported or when it is flushed
+// (timeout) — missing modules become missing values, feeding the §7
+// missing-value fault scenario.
+//
+// Each node's mutators are private to GroupRunner; the public surface is
+// the read side, which takes the same group lock and is thread-safe.
 #pragma once
 
-#include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,7 +25,6 @@
 #include "core/trace.h"
 #include "data/round_table.h"
 #include "obs/metrics.h"
-#include "runtime/bus.h"
 #include "runtime/datastore.h"
 #include "util/status.h"
 
@@ -32,7 +36,7 @@ namespace avoc::runtime {
 struct HubTelemetry {
   obs::Counter* readings = nullptr;       ///< readings accepted
   obs::Counter* late_readings = nullptr;  ///< dropped against a closed round
-  obs::Counter* rounds_closed = nullptr;  ///< rounds published downstream
+  obs::Counter* rounds_closed = nullptr;  ///< rounds handed to the voter
   obs::Gauge* open_rounds = nullptr;      ///< pending-round queue depth
   obs::Gauge* last_closed_round = nullptr;
 };
@@ -42,7 +46,7 @@ struct SinkTelemetry {
   obs::Counter* outputs = nullptr;  ///< fused outputs recorded
   obs::Gauge* last_round = nullptr;
   /// Rounds that closed upstream but never produced an output here
-  /// (hard CastVote/persistence errors drop the round before the sink).
+  /// (an engine error drops its whole batch before the sink).
   obs::Gauge* lag_rounds = nullptr;
 };
 
@@ -53,46 +57,13 @@ struct ReadingMessage {
   double value = 0.0;
 };
 
-/// A closed round: one optional candidate per registered module.
-struct RoundMessage {
-  size_t round = 0;
-  core::Round readings;
-};
-
 /// The voter's fused output for one round.
 struct OutputMessage {
   size_t round = 0;
   core::VoteResult result;
 };
 
-/// Several rounds closed by one batch ingest, as a columnar table.  The
-/// pointees are borrowed: valid only for the duration of the publish
-/// (subscribers copy what they keep).
-struct RoundBatchMessage {
-  const std::vector<size_t>* rounds = nullptr;  ///< round number per row
-  const data::RoundTable* table = nullptr;
-};
-
-/// The voter's fused outputs for one batch, as a columnar trace view.
-/// Borrowed like RoundBatchMessage: row i of `trace` is round
-/// (*rounds)[i], valid only during the publish.
-struct BatchOutputMessage {
-  const std::vector<size_t>* rounds = nullptr;
-  core::TraceView trace;
-};
-
-/// Topics wiring one voter group's pipeline.  The singular topics carry
-/// the one-reading-at-a-time path; the *batch* topics carry the framed
-/// remote path where one message covers many rounds.
-struct GroupChannels {
-  Topic<ReadingMessage> readings;
-  Topic<RoundMessage> rounds;
-  Topic<OutputMessage> outputs;
-  Topic<RoundBatchMessage> round_batches;
-  Topic<BatchOutputMessage> batches;
-};
-
-/// What one IngestBatch call did with its readings.
+/// What one ingest call did with its readings.
 struct BatchIngestStats {
   size_t accepted = 0;       ///< readings stored into open rounds
   size_t late = 0;           ///< dropped against already-closed rounds
@@ -100,52 +71,20 @@ struct BatchIngestStats {
   size_t rounds_closed = 0;  ///< rounds completed (and voted) by this batch
 };
 
-/// Produces readings for one module.  The generator may return nullopt
-/// (sensor had nothing to report this round).
-class SensorNode {
- public:
-  using Generator = std::function<std::optional<double>(size_t round)>;
-
-  SensorNode(size_t module, Generator generator,
-             Topic<ReadingMessage>& readings);
-
-  size_t module() const { return module_; }
-
-  /// Samples the generator for `round`; publishes when a value exists.
-  void Emit(size_t round);
-
- private:
-  size_t module_;
-  Generator generator_;
-  Topic<ReadingMessage>* readings_;
+/// Rounds closed by the hub, as a columnar table: row i of `table` is
+/// round `rounds[i]`.
+struct ClosedRounds {
+  std::vector<size_t> rounds;
+  data::RoundTable table;
 };
 
 /// Assembles readings into rounds.
 class HubNode {
  public:
-  /// `close_at_count` implements VDX's UNTIL quorum at the hub: when > 0,
-  /// a round closes as soon as that many readings arrived instead of
-  /// waiting for every module (later readings for the round are dropped).
-  /// 0 keeps the default close-when-complete behaviour.
-  HubNode(size_t module_count, GroupChannels& channels,
-          size_t close_at_count = 0, HubTelemetry telemetry = {});
-  ~HubNode();
-
   HubNode(const HubNode&) = delete;
   HubNode& operator=(const HubNode&) = delete;
 
   size_t module_count() const { return module_count_; }
-
-  /// Closes `round`, publishing whatever arrived (absent modules are
-  /// missing values).  No-op when the round was already closed or never
-  /// received a reading and `publish_empty` is false.
-  void Flush(size_t round, bool publish_empty = false);
-
-  /// Ingests many readings under ONE hub lock and publishes every round
-  /// they complete as ONE RoundBatchMessage (one downstream engine call),
-  /// instead of N lock/publish cycles.  Readings for closed rounds or
-  /// unknown modules are counted, not fatal.
-  BatchIngestStats IngestBatch(std::span<const ReadingMessage> readings);
 
   /// Rounds currently open (received some but not all readings).
   size_t open_rounds() const;
@@ -156,132 +95,132 @@ class HubNode {
     std::vector<std::pair<uint64_t, core::Round>> pending;
     std::vector<uint64_t> closed_rounds;
   };
+
+ private:
+  friend class GroupRunner;
+
+  HubNode(size_t module_count, std::mutex& group_mutex,
+          HubTelemetry telemetry);
+
+  // The rest runs under the group lock.
+
+  /// Stores readings into open rounds and appends every round they
+  /// complete to `closed`.  Readings for closed rounds or unknown modules
+  /// are counted, not fatal.
+  BatchIngestStats Ingest(std::span<const ReadingMessage> readings,
+                          ClosedRounds& closed);
+
+  /// Closes `round` with whatever arrived (absent modules are missing
+  /// values) and appends it to `closed`.  No-op when already closed.
+  void Close(size_t round, ClosedRounds& closed);
+
   State ExportState() const;
   void RestoreState(const State& state);
 
- private:
-  void OnReading(const ReadingMessage& message);
+  /// Moves `readings` into `closed` as round `round` and updates the
+  /// close-side gauges.
+  void CloseRound(size_t round, core::Round readings, ClosedRounds& closed);
 
-  /// Updates the close-side gauges; caller holds mutex_.
-  void NoteClosedLocked(size_t round);
+  void SetOpenRoundsGauge();
 
   size_t module_count_;
-  size_t close_at_count_;
-  GroupChannels* channels_;
+  std::mutex& group_mutex_;
   HubTelemetry telemetry_;
-  SubscriptionId subscription_;
-  mutable std::mutex mutex_;
-  std::map<size_t, core::Round> pending_;   // round -> partial readings
-  std::map<size_t, bool> closed_;           // rounds already published
+  std::map<size_t, core::Round> pending_;  // round -> partial readings
+  std::set<size_t> closed_;                // rounds already handed on
 };
 
-/// VoterNode configuration.
-struct VoterOptions {
-  /// Store group key; persistence disabled when store == nullptr.
-  std::string group = "default";
-  storage::HistoryBackend* store = nullptr;
-};
-
-/// Runs the voting engine over incoming rounds; optionally persists the
-/// history ledger to a HistoryBackend after every round (the datastore
+/// Runs the voting engine over closed rounds; optionally persists the
+/// history ledger to a HistoryBackend after every vote (the datastore
 /// round-trip of the paper's latency notes) and restores it on start.
 class VoterNode {
  public:
-  VoterNode(core::VotingEngine engine, GroupChannels& channels,
-            VoterOptions options = {});
-  ~VoterNode();
-
   VoterNode(const VoterNode&) = delete;
   VoterNode& operator=(const VoterNode&) = delete;
 
   const core::VotingEngine& engine() const { return engine_; }
 
-  /// Status of the most recent round (persistence failures surface here).
+  /// Status of the most recent vote (persistence failures surface here).
   Status last_status() const;
 
-  /// Full engine state for migration (see core::VotingEngine::State).
+ private:
+  friend class GroupRunner;
+
+  /// Restores the history stored under `group` when `store` holds a
+  /// snapshot of matching arity; persistence is off when store is null.
+  VoterNode(core::VotingEngine engine, std::mutex& group_mutex,
+            std::string group, storage::HistoryBackend* store);
+
+  // The rest runs under the group lock.
+
+  /// Votes every round of `table` in one columnar engine pass, then
+  /// persists the history.  The view holds one row per round and stays
+  /// valid until the next Vote.  On an engine error the whole batch is
+  /// dropped and the error also lands in last_status().
+  Result<core::TraceView> Vote(const data::RoundTable& table);
+
   core::VotingEngine::State ExportEngineState() const;
   /// Installs a migrated engine state and persists it to the store.
   Status RestoreEngineState(const core::VotingEngine::State& state);
 
- private:
-  void OnRound(const RoundMessage& message);
-  void OnRoundBatch(const RoundBatchMessage& message);
-
-  /// Persists the engine's history ledger; caller holds mutex_.
-  void PersistHistoryLocked();
+  void PersistHistory();
 
   core::VotingEngine engine_;
-  GroupChannels* channels_;
-  VoterOptions options_;
-  SubscriptionId subscription_;
-  SubscriptionId batch_subscription_;
-  mutable std::mutex mutex_;
+  std::mutex& group_mutex_;
+  std::string group_;
+  storage::HistoryBackend* store_;
   Status last_status_;
-  /// Scratch trace reused across batches (guarded by mutex_; published
-  /// views stay valid because the batch publish happens under the lock).
-  core::BatchTrace batch_trace_;
+  core::BatchTrace batch_trace_;  ///< scratch reused across votes
 };
 
 /// Records outputs (the LCD display / downstream consumer stand-in).
-/// Storage is columnar: arriving results land in a BatchTrace (one flat
-/// column per field) plus a round-number column, so a long-running sink
-/// holds no per-round heap objects; outputs() materializes messages on
-/// demand for consumers that still speak VoteResult.
+/// Storage is columnar: rows land in a BatchTrace (one flat column per
+/// field) plus a round-number column, so a long-running sink holds no
+/// per-round heap objects; outputs() materializes messages on demand for
+/// consumers that still speak VoteResult.
 class SinkNode {
  public:
-  /// When `trace_store` is set, every appended row is also persisted as a
-  /// storage::TracePoint under `group` — the durable feed behind the
-  /// QUERY_RANGE wire verb.  Persist errors are logged, never fatal: the
-  /// in-memory trace is the source of truth for the live process.
-  explicit SinkNode(GroupChannels& channels, SinkTelemetry telemetry = {},
-                    storage::TraceBackend* trace_store = nullptr,
-                    std::string group = {});
-  ~SinkNode();
-
   SinkNode(const SinkNode&) = delete;
   SinkNode& operator=(const SinkNode&) = delete;
 
   /// Outputs received so far, in arrival order (materialized per call;
-  /// prefer trace() for bulk reads).
+  /// prefer WithTrace() for bulk reads).
   std::vector<OutputMessage> outputs() const;
   size_t output_count() const;
 
   /// Most recent fused value, if any round voted successfully.
   std::optional<double> last_value() const;
 
-  /// Appends migrated rows as if they had arrived live (same gauge and
-  /// persistence side effects), keeping the trace bit-identical across a
-  /// handoff.
-  void RestoreOutputs(std::span<const OutputMessage> restored);
-
-  /// Columnar read access under the sink lock: calls `fn(trace, rounds)`
+  /// Columnar read access under the group lock: calls `fn(trace, rounds)`
   /// where rounds[i] is the round number of trace row i.
   template <typename Fn>
   void WithTrace(Fn&& fn) const {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(group_mutex_);
     fn(static_cast<const core::BatchTrace&>(trace_),
        static_cast<const std::vector<size_t>&>(rounds_));
   }
 
  private:
-  void OnOutput(const OutputMessage& message);
-  void OnBatch(const BatchOutputMessage& message);
+  friend class GroupRunner;
 
-  /// Updates the sink gauges after appending rows; caller holds mutex_.
-  void NoteAppendedLocked(size_t last_round, size_t appended);
+  /// When `trace_store` is set, every appended row is also persisted as a
+  /// storage::TracePoint under `group` — the durable feed behind the
+  /// QUERY_RANGE wire verb.  Persist errors are logged, never fatal: the
+  /// in-memory trace is the source of truth for the live process.
+  SinkNode(std::mutex& group_mutex, SinkTelemetry telemetry,
+           storage::TraceBackend* trace_store, std::string group);
 
-  /// Persists the last `appended` rows of trace_ to trace_store_; caller
-  /// holds mutex_.
-  void PersistAppendedLocked(size_t appended);
+  // The rest runs under the group lock.
 
-  GroupChannels* channels_;
+  /// Appends row i of `trace` as round rounds[i], then persists the rows.
+  void Append(const core::TraceView& trace, std::span<const size_t> rounds);
+
+  std::vector<OutputMessage> MaterializeOutputs() const;
+
+  std::mutex& group_mutex_;
   SinkTelemetry telemetry_;
   storage::TraceBackend* trace_store_;
   std::string group_;
-  SubscriptionId subscription_;
-  SubscriptionId batch_subscription_;
-  mutable std::mutex mutex_;
   core::BatchTrace trace_;
   std::vector<size_t> rounds_;  ///< round number of each trace row
 };

@@ -36,13 +36,13 @@ class Pipeline {
 
   /// Drives arbitrary per-module generators.
   static Result<Pipeline> FromGenerators(
-      std::vector<SensorNode::Generator> generators,
+      std::vector<GroupRunner::Generator> generators,
       core::VotingEngine engine, PipelineOptions options = {});
 
   Pipeline(Pipeline&&) = default;
   Pipeline& operator=(Pipeline&&) = default;
 
-  /// Runs one round: every sensor emits, then the hub flushes the round
+  /// Runs one round: every generator is sampled, then the round closes
   /// (turning silent sensors into missing values).
   void Step();
 

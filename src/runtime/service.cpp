@@ -16,7 +16,7 @@ VoterService::VoterService(std::unique_ptr<GroupRunner> runner,
 }
 
 Result<std::unique_ptr<VoterService>> VoterService::Create(
-    std::vector<SensorNode::Generator> samplers, core::VotingEngine engine,
+    std::vector<GroupRunner::Generator> samplers, core::VotingEngine engine,
     ServiceOptions options) {
   if (samplers.size() != engine.module_count()) {
     return InvalidArgumentError("sampler/engine module count mismatch");

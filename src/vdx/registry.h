@@ -1,8 +1,9 @@
 // VDX document storage: files on disk plus an in-memory named registry.
 //
 // The paper's vision is a "compatible voter service running on an edge
-// node" receiving voting definitions; the runtime's VoterNode loads specs
-// through this registry.
+// node" receiving voting definitions; this registry holds them by name,
+// and vdx::MakeVoter (factory.h) turns one into the engine that
+// VoterGroupManager::AddGroupFromSpec installs as a group.
 #pragma once
 
 #include <map>

@@ -33,9 +33,9 @@
 namespace avoc::vdx {
 
 /// VDL-inherited quorum modes.  For a round-based voter, COUNT/PERCENT
-/// gate on the submitted candidate count; UNTIL additionally tells a
-/// streaming hub to hold the round open until the quorum is met or its
-/// timeout fires.
+/// gate on the submitted candidate count, and UNTIL votes exactly like
+/// PERCENT: the runtime's hub closes a round when every module reported
+/// or when the round is flushed at its timeout, whatever the mode.
 enum class QuorumMode { kAny, kCount, kPercent, kUntil };
 
 enum class ExclusionKind { kNone, kStdDev, kMad };

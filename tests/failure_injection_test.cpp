@@ -9,7 +9,7 @@
 
 #include "core/algorithms.h"
 #include "data/csv.h"
-#include "runtime/nodes.h"
+#include "runtime/group_runner.h"
 #include "vdx/registry.h"
 
 namespace avoc {
@@ -21,23 +21,23 @@ TEST(FailureInjectionTest, UnwritableStoreSurfacesButVotingContinues) {
       "/nonexistent-dir-for-avoc-test/history.json");
   ASSERT_TRUE(store.ok());  // opening a fresh (missing) file is fine
 
-  runtime::GroupChannels channels;
-  std::vector<runtime::OutputMessage> outputs;
-  channels.outputs.Subscribe(
-      [&](const runtime::OutputMessage& m) { outputs.push_back(m); });
-  runtime::VoterOptions options;
+  runtime::GroupRunner::Options options;
   options.group = "doomed";
   options.store = &*store;
   auto engine = core::MakeEngine(core::AlgorithmId::kAvoc, 3);
   ASSERT_TRUE(engine.ok());
-  runtime::VoterNode voter(std::move(*engine), channels, options);
+  auto runner = runtime::GroupRunner::Create(std::move(*engine), options);
+  ASSERT_TRUE(runner.ok());
 
-  core::Round round = {10.0, 10.1, 9.9};
-  channels.rounds.Publish({0, round});
+  ASSERT_TRUE((*runner)->Submit(0, 0, 10.0).ok());
+  ASSERT_TRUE((*runner)->Submit(1, 0, 10.1).ok());
+  ASSERT_TRUE((*runner)->Submit(2, 0, 9.9).ok());
   // The vote itself succeeded and reached the sink...
+  const auto outputs = (*runner)->sink().outputs();
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_NEAR(*outputs[0].result.value, 10.0, 0.2);
   // ...and the persistence failure is visible, not swallowed.
+  const runtime::VoterNode& voter = (*runner)->voter();
   EXPECT_FALSE(voter.last_status().ok());
   EXPECT_EQ(voter.last_status().code(), ErrorCode::kIoError);
 }
@@ -64,19 +64,18 @@ TEST(FailureInjectionTest, MismatchedSnapshotArityIsIgnoredOnRestore) {
   snapshot.rounds = 99;
   ASSERT_TRUE(store.Put("renamed", snapshot).ok());
 
-  runtime::GroupChannels channels;
-  std::vector<runtime::OutputMessage> outputs;
-  channels.outputs.Subscribe(
-      [&](const runtime::OutputMessage& m) { outputs.push_back(m); });
-  runtime::VoterOptions options;
+  runtime::GroupRunner::Options options;
   options.group = "renamed";
   options.store = &store;
   auto engine = core::MakeEngine(core::AlgorithmId::kHybrid, 3);
   ASSERT_TRUE(engine.ok());
-  runtime::VoterNode voter(std::move(*engine), channels, options);
+  auto runner = runtime::GroupRunner::Create(std::move(*engine), options);
+  ASSERT_TRUE(runner.ok());
   // Records must still be the fresh-set 1.0, not the stale zeros.
-  core::Round round = {5.0, 5.0, 5.0};
-  channels.rounds.Publish({0, round});
+  for (size_t m = 0; m < 3; ++m) {
+    ASSERT_TRUE((*runner)->Submit(m, 0, 5.0).ok());
+  }
+  const auto outputs = (*runner)->sink().outputs();
   ASSERT_EQ(outputs.size(), 1u);
   for (const double h : outputs[0].result.history) {
     EXPECT_DOUBLE_EQ(h, 1.0);

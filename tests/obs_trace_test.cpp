@@ -292,7 +292,12 @@ TEST(ObsTraceTest, ConcurrentRecordAndSnapshotIsTornFree) {
   uint64_t seen = 0;
   std::thread reader([&] {
     std::vector<SpanRecord> out;
-    while (!stop.load(std::memory_order_acquire)) {
+    // The last pass starts after `stop` was seen, so it runs after every
+    // writer finished: at least one snapshot, and it sees records, even
+    // when the writers all finish before the reader is scheduled.
+    bool last_pass = false;
+    while (!last_pass) {
+      last_pass = stop.load(std::memory_order_acquire);
       out.clear();
       ring.Snapshot(&out);
       ++snapshots;

@@ -1,8 +1,11 @@
+// The hub, voter and sink of one voter group, driven through the
+// GroupRunner that owns and calls them.
 #include "runtime/nodes.h"
 
 #include <gtest/gtest.h>
 
 #include "core/algorithms.h"
+#include "runtime/group_runner.h"
 
 namespace avoc::runtime {
 namespace {
@@ -13,169 +16,109 @@ core::VotingEngine AverageEngine(size_t modules) {
   return std::move(*engine);
 }
 
-TEST(SensorNodeTest, PublishesGeneratorValues) {
-  GroupChannels channels;
-  std::vector<ReadingMessage> received;
-  channels.readings.Subscribe(
-      [&](const ReadingMessage& m) { received.push_back(m); });
-  SensorNode sensor(2, [](size_t round) { return 10.0 + round; },
-                    channels.readings);
-  sensor.Emit(0);
-  sensor.Emit(1);
-  ASSERT_EQ(received.size(), 2u);
-  EXPECT_EQ(received[0].module, 2u);
-  EXPECT_DOUBLE_EQ(received[0].value, 10.0);
-  EXPECT_DOUBLE_EQ(received[1].value, 11.0);
-  EXPECT_EQ(received[1].round, 1u);
-}
-
-TEST(SensorNodeTest, SilentWhenGeneratorReturnsNothing) {
-  GroupChannels channels;
-  size_t count = 0;
-  channels.readings.Subscribe([&](const ReadingMessage&) { ++count; });
-  SensorNode sensor(0, [](size_t) { return std::optional<double>(); },
-                    channels.readings);
-  sensor.Emit(0);
-  EXPECT_EQ(count, 0u);
+std::unique_ptr<GroupRunner> MakeRunner(core::VotingEngine engine,
+                                        GroupRunner::Options options = {}) {
+  auto runner = GroupRunner::Create(std::move(engine), std::move(options));
+  EXPECT_TRUE(runner.ok());
+  return std::move(*runner);
 }
 
 TEST(HubNodeTest, ClosesRoundWhenAllModulesReport) {
-  GroupChannels channels;
-  std::vector<RoundMessage> rounds;
-  channels.rounds.Subscribe(
-      [&](const RoundMessage& m) { rounds.push_back(m); });
-  HubNode hub(3, channels);
-  channels.readings.Publish({0, 0, 1.0});
-  channels.readings.Publish({1, 0, 2.0});
-  EXPECT_TRUE(rounds.empty());
-  EXPECT_EQ(hub.open_rounds(), 1u);
-  channels.readings.Publish({2, 0, 3.0});
-  ASSERT_EQ(rounds.size(), 1u);
-  EXPECT_EQ(rounds[0].round, 0u);
-  EXPECT_DOUBLE_EQ(*rounds[0].readings[2], 3.0);
-  EXPECT_EQ(hub.open_rounds(), 0u);
+  auto runner = MakeRunner(AverageEngine(3));
+  ASSERT_TRUE(runner->Submit(0, 0, 1.0).ok());
+  ASSERT_TRUE(runner->Submit(1, 0, 2.0).ok());
+  EXPECT_EQ(runner->sink().output_count(), 0u);
+  EXPECT_EQ(runner->hub().open_rounds(), 1u);
+  ASSERT_TRUE(runner->Submit(2, 0, 3.0).ok());
+  const auto outputs = runner->sink().outputs();
+  ASSERT_EQ(outputs.size(), 1u);
+  EXPECT_EQ(outputs[0].round, 0u);
+  EXPECT_EQ(outputs[0].result.present_count, 3u);
+  EXPECT_DOUBLE_EQ(*outputs[0].result.value, 2.0);
+  EXPECT_EQ(runner->hub().open_rounds(), 0u);
 }
 
 TEST(HubNodeTest, FlushPublishesPartialRound) {
-  GroupChannels channels;
-  std::vector<RoundMessage> rounds;
-  channels.rounds.Subscribe(
-      [&](const RoundMessage& m) { rounds.push_back(m); });
-  HubNode hub(3, channels);
-  channels.readings.Publish({0, 5, 1.0});
-  hub.Flush(5);
-  ASSERT_EQ(rounds.size(), 1u);
-  EXPECT_TRUE(rounds[0].readings[0].has_value());
-  EXPECT_FALSE(rounds[0].readings[1].has_value());
-  EXPECT_FALSE(rounds[0].readings[2].has_value());
+  auto runner = MakeRunner(AverageEngine(3));
+  ASSERT_TRUE(runner->Submit(0, 5, 1.0).ok());
+  runner->FlushRound(5);
+  const auto outputs = runner->sink().outputs();
+  ASSERT_EQ(outputs.size(), 1u);
+  EXPECT_EQ(outputs[0].round, 5u);
+  EXPECT_EQ(outputs[0].result.present_count, 1u);
+  EXPECT_EQ(runner->hub().open_rounds(), 0u);
 }
 
 TEST(HubNodeTest, LateReadingsAfterCloseAreDropped) {
-  GroupChannels channels;
-  std::vector<RoundMessage> rounds;
-  channels.rounds.Subscribe(
-      [&](const RoundMessage& m) { rounds.push_back(m); });
-  HubNode hub(2, channels);
-  channels.readings.Publish({0, 0, 1.0});
-  hub.Flush(0);
-  channels.readings.Publish({1, 0, 2.0});  // too late
-  EXPECT_EQ(rounds.size(), 1u);
-  EXPECT_EQ(hub.open_rounds(), 0u);
+  auto runner = MakeRunner(AverageEngine(2));
+  ASSERT_TRUE(runner->Submit(0, 0, 1.0).ok());
+  runner->FlushRound(0);
+  ASSERT_TRUE(runner->Submit(1, 0, 2.0).ok());  // too late
+  EXPECT_EQ(runner->sink().output_count(), 1u);
+  EXPECT_EQ(runner->hub().open_rounds(), 0u);
+  const ReadingMessage late{0, 0, 3.0};
+  const BatchIngestStats stats = runner->SubmitBatch({&late, 1});
+  EXPECT_EQ(stats.late, 1u);
+  EXPECT_EQ(stats.accepted, 0u);
+  EXPECT_EQ(runner->sink().output_count(), 1u);
 }
 
-TEST(HubNodeTest, FlushOfUnknownRoundOptionallyPublishesEmpty) {
-  GroupChannels channels;
-  std::vector<RoundMessage> rounds;
-  channels.rounds.Subscribe(
-      [&](const RoundMessage& m) { rounds.push_back(m); });
-  HubNode hub(2, channels);
-  hub.Flush(9);  // publish_empty defaults to false
-  EXPECT_TRUE(rounds.empty());
-  hub.Flush(10, /*publish_empty=*/true);
-  ASSERT_EQ(rounds.size(), 1u);
-  EXPECT_FALSE(rounds[0].readings[0].has_value());
+TEST(HubNodeTest, FlushOfUnknownRoundPublishesEmpty) {
+  auto runner = MakeRunner(AverageEngine(2));
+  runner->FlushRound(10);
+  auto outputs = runner->sink().outputs();
+  ASSERT_EQ(outputs.size(), 1u);
+  EXPECT_EQ(outputs[0].round, 10u);
+  EXPECT_EQ(outputs[0].result.present_count, 0u);
+  runner->FlushRound(10);  // already closed: no second row
+  EXPECT_EQ(runner->sink().output_count(), 1u);
 }
 
 TEST(HubNodeTest, UnknownModuleIgnored) {
-  GroupChannels channels;
-  std::vector<RoundMessage> rounds;
-  channels.rounds.Subscribe(
-      [&](const RoundMessage& m) { rounds.push_back(m); });
-  HubNode hub(2, channels);
-  channels.readings.Publish({7, 0, 1.0});  // module out of range
-  EXPECT_EQ(hub.open_rounds(), 0u);
+  auto runner = MakeRunner(AverageEngine(2));
+  const ReadingMessage stray{7, 0, 1.0};  // module out of range
+  const BatchIngestStats stats = runner->SubmitBatch({&stray, 1});
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(runner->hub().open_rounds(), 0u);
+  EXPECT_EQ(runner->sink().output_count(), 0u);
 }
 
 TEST(HubNodeTest, InterleavedRoundsAssembleIndependently) {
-  GroupChannels channels;
-  std::vector<RoundMessage> rounds;
-  channels.rounds.Subscribe(
-      [&](const RoundMessage& m) { rounds.push_back(m); });
-  HubNode hub(2, channels);
-  channels.readings.Publish({0, 0, 1.0});
-  channels.readings.Publish({0, 1, 10.0});
-  channels.readings.Publish({1, 1, 11.0});  // round 1 completes first
-  channels.readings.Publish({1, 0, 2.0});   // then round 0
-  ASSERT_EQ(rounds.size(), 2u);
-  EXPECT_EQ(rounds[0].round, 1u);
-  EXPECT_EQ(rounds[1].round, 0u);
-}
-
-
-TEST(HubNodeTest, UntilQuorumClosesEarly) {
-  GroupChannels channels;
-  std::vector<RoundMessage> rounds;
-  channels.rounds.Subscribe(
-      [&](const RoundMessage& m) { rounds.push_back(m); });
-  HubNode hub(5, channels, /*close_at_count=*/3);
-  channels.readings.Publish({0, 0, 1.0});
-  channels.readings.Publish({1, 0, 2.0});
-  EXPECT_TRUE(rounds.empty());
-  channels.readings.Publish({2, 0, 3.0});  // quorum reached: round closes
-  ASSERT_EQ(rounds.size(), 1u);
-  EXPECT_FALSE(rounds[0].readings[3].has_value());
-  EXPECT_FALSE(rounds[0].readings[4].has_value());
-  // Stragglers are dropped against the closed round.
-  channels.readings.Publish({3, 0, 4.0});
-  EXPECT_EQ(rounds.size(), 1u);
-}
-
-TEST(HubNodeTest, UntilQuorumCappedAtModuleCount) {
-  GroupChannels channels;
-  std::vector<RoundMessage> rounds;
-  channels.rounds.Subscribe(
-      [&](const RoundMessage& m) { rounds.push_back(m); });
-  HubNode hub(2, channels, /*close_at_count=*/99);
-  channels.readings.Publish({0, 0, 1.0});
-  EXPECT_TRUE(rounds.empty());
-  channels.readings.Publish({1, 0, 2.0});
-  EXPECT_EQ(rounds.size(), 1u);
+  auto runner = MakeRunner(AverageEngine(2));
+  ASSERT_TRUE(runner->Submit(0, 0, 1.0).ok());
+  ASSERT_TRUE(runner->Submit(0, 1, 10.0).ok());
+  ASSERT_TRUE(runner->Submit(1, 1, 11.0).ok());  // round 1 completes first
+  ASSERT_TRUE(runner->Submit(1, 0, 2.0).ok());   // then round 0
+  const auto outputs = runner->sink().outputs();
+  ASSERT_EQ(outputs.size(), 2u);
+  EXPECT_EQ(outputs[0].round, 1u);
+  EXPECT_DOUBLE_EQ(*outputs[0].result.value, 10.5);
+  EXPECT_EQ(outputs[1].round, 0u);
+  EXPECT_DOUBLE_EQ(*outputs[1].result.value, 1.5);
 }
 
 TEST(VoterNodeTest, VotesOnIncomingRounds) {
-  GroupChannels channels;
-  std::vector<OutputMessage> outputs;
-  channels.outputs.Subscribe(
-      [&](const OutputMessage& m) { outputs.push_back(m); });
-  VoterNode voter(AverageEngine(3), channels);
-  core::Round round = {10.0, 20.0, 30.0};
-  channels.rounds.Publish({0, round});
+  auto runner = MakeRunner(AverageEngine(3));
+  ASSERT_TRUE(runner->Submit(0, 0, 10.0).ok());
+  ASSERT_TRUE(runner->Submit(1, 0, 20.0).ok());
+  ASSERT_TRUE(runner->Submit(2, 0, 30.0).ok());
+  const auto outputs = runner->sink().outputs();
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_DOUBLE_EQ(*outputs[0].result.value, 20.0);
-  EXPECT_TRUE(voter.last_status().ok());
+  EXPECT_TRUE(runner->voter().last_status().ok());
 }
 
 TEST(VoterNodeTest, PersistsHistoryToStore) {
   HistoryStore store;
-  GroupChannels channels;
-  VoterOptions options;
+  GroupRunner::Options options;
   options.group = "test-group";
   options.store = &store;
   auto engine = core::MakeEngine(core::AlgorithmId::kHybrid, 3);
   ASSERT_TRUE(engine.ok());
-  VoterNode voter(std::move(*engine), channels, options);
-  core::Round round = {10.0, 10.1, 90.0};
-  channels.rounds.Publish({0, round});
+  auto runner = MakeRunner(std::move(*engine), options);
+  ASSERT_TRUE(runner->Submit(0, 0, 10.0).ok());
+  ASSERT_TRUE(runner->Submit(1, 0, 10.1).ok());
+  ASSERT_TRUE(runner->Submit(2, 0, 90.0).ok());
   auto snapshot = store.Get("test-group");
   ASSERT_TRUE(snapshot.ok());
   EXPECT_EQ(snapshot->rounds, 1u);
@@ -190,31 +133,28 @@ TEST(VoterNodeTest, RestoresHistoryFromStore) {
   seed.rounds = 50;
   ASSERT_TRUE(store.Put("warm", seed).ok());
 
-  GroupChannels channels;
-  std::vector<OutputMessage> outputs;
-  channels.outputs.Subscribe(
-      [&](const OutputMessage& m) { outputs.push_back(m); });
-  VoterOptions options;
+  GroupRunner::Options options;
   options.group = "warm";
   options.store = &store;
   auto engine = core::MakeEngine(core::AlgorithmId::kHybrid, 3);
   ASSERT_TRUE(engine.ok());
-  VoterNode voter(std::move(*engine), channels, options);
+  auto runner = MakeRunner(std::move(*engine), options);
   // Module 2's restored record is 0 -> eliminated on the very first round.
-  core::Round round = {10.0, 10.1, 10.05};
-  channels.rounds.Publish({0, round});
+  ASSERT_TRUE(runner->Submit(0, 0, 10.0).ok());
+  ASSERT_TRUE(runner->Submit(1, 0, 10.1).ok());
+  ASSERT_TRUE(runner->Submit(2, 0, 10.05).ok());
+  const auto outputs = runner->sink().outputs();
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_TRUE(outputs[0].result.eliminated[2]);
 }
 
 TEST(SinkNodeTest, CollectsOutputs) {
-  GroupChannels channels;
-  SinkNode sink(channels);
-  VoterNode voter(AverageEngine(2), channels);
-  core::Round round_a = {1.0, 3.0};
-  core::Round round_b = {5.0, 7.0};
-  channels.rounds.Publish({0, round_a});
-  channels.rounds.Publish({1, round_b});
+  auto runner = MakeRunner(AverageEngine(2));
+  ASSERT_TRUE(runner->Submit(0, 0, 1.0).ok());
+  ASSERT_TRUE(runner->Submit(1, 0, 3.0).ok());
+  ASSERT_TRUE(runner->Submit(0, 1, 5.0).ok());
+  ASSERT_TRUE(runner->Submit(1, 1, 7.0).ok());
+  const SinkNode& sink = runner->sink();
   EXPECT_EQ(sink.output_count(), 2u);
   ASSERT_TRUE(sink.last_value().has_value());
   EXPECT_DOUBLE_EQ(*sink.last_value(), 6.0);
@@ -222,28 +162,26 @@ TEST(SinkNodeTest, CollectsOutputs) {
 }
 
 TEST(SinkNodeTest, LastValueSkipsSuppressedRounds) {
-  GroupChannels channels;
-  SinkNode sink(channels);
   auto config = core::MakeConfig(core::AlgorithmId::kAverage);
   config.quorum.fraction = 1.0;
   config.on_no_quorum = core::NoQuorumPolicy::kEmitNothing;
   auto engine = core::VotingEngine::Create(2, config);
   ASSERT_TRUE(engine.ok());
-  VoterNode voter(std::move(*engine), channels);
-  core::Round full = {4.0, 6.0};
-  core::Round starved = {std::nullopt, 6.0};
-  channels.rounds.Publish({0, full});
-  channels.rounds.Publish({1, starved});
+  auto runner = MakeRunner(std::move(*engine));
+  ASSERT_TRUE(runner->Submit(0, 0, 4.0).ok());
+  ASSERT_TRUE(runner->Submit(1, 0, 6.0).ok());
+  ASSERT_TRUE(runner->Submit(1, 1, 6.0).ok());
+  runner->FlushRound(1);  // starved: module 0 never reported
+  const SinkNode& sink = runner->sink();
   EXPECT_EQ(sink.output_count(), 2u);
   ASSERT_TRUE(sink.last_value().has_value());
   EXPECT_DOUBLE_EQ(*sink.last_value(), 5.0);  // from round 0
 }
 
 TEST(SinkNodeTest, EmptySinkHasNoValue) {
-  GroupChannels channels;
-  SinkNode sink(channels);
-  EXPECT_FALSE(sink.last_value().has_value());
-  EXPECT_EQ(sink.output_count(), 0u);
+  auto runner = MakeRunner(AverageEngine(2));
+  EXPECT_FALSE(runner->sink().last_value().has_value());
+  EXPECT_EQ(runner->sink().output_count(), 0u);
 }
 
 }  // namespace

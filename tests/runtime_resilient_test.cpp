@@ -18,6 +18,10 @@ constexpr uint16_t kPort = 7;
 class ResilientClientTest : public ::testing::Test {
  protected:
   void StartWorld(uint64_t seed, SimWorld::Options options = {}) {
+    // A test may start several worlds: the previous server closes its
+    // listener on the previous world, so it must go before that world.
+    server_.reset();
+    manager_.reset();
     world_ = std::make_unique<SimWorld>(seed, options);
     manager_ = std::make_unique<VoterGroupManager>(nullptr, &registry_);
     ASSERT_TRUE(manager_
