@@ -6,9 +6,10 @@
 // a 20% population of faulty sensors, and the per-round voting cost.
 // Each configuration is run twice over the identical table: once bare
 // for the throughput numbers, once with a stage-timing observer attached
-// for the per-stage ns/round breakdown (agreement / exclusion / average
-// / other) — the observed pass pays the hook overhead, so the totals
-// come from the bare pass and the breakdown shows *where* rounds spend.
+// for the per-stage ns/round breakdown (one figure per stage of
+// core::kStageNames) — the observed pass pays the hook overhead, so the
+// totals come from the bare pass and the breakdown shows *where* rounds
+// spend.
 //
 // The "standard-abs" rows run binary agreement over an absolute margin,
 // the mode where the kernel layer dispatches the O(N log N) sorted-
@@ -18,6 +19,7 @@
 // standard-abs round is reported in the JSON (must be 0 mismatches).
 // Writes machine-readable BENCH_scale.json next to the stdout report.
 // Flags: --rounds N --seed S --json PATH
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -58,9 +60,18 @@ avoc::data::RoundTable MakeTable(size_t modules, size_t rounds,
   return table;
 }
 
-/// Buckets per-stage wall time: the three kernel-backed stages the
-/// breakdown names, everything else (quorum, clustering, elimination,
-/// weighting, majority, history) under "other".
+constexpr size_t kStages = avoc::core::kStageNames.size();
+
+/// Position of `stage` in core::kStageNames.
+size_t StageIndex(std::string_view stage) {
+  for (size_t i = 0; i < kStages; ++i) {
+    if (avoc::core::kStageNames[i] == stage) return i;
+  }
+  return kStages;
+}
+
+/// Accumulates per-stage wall time, one bucket per core::kStageNames
+/// entry.
 class StageTimer final : public avoc::core::StageObserver {
  public:
   void OnRoundBegin(size_t /*round*/,
@@ -70,25 +81,16 @@ class StageTimer final : public avoc::core::StageObserver {
   void OnStageDone(std::string_view stage,
                    const avoc::core::VoteContext& /*context*/) override {
     const auto now = Clock::now();
-    const double ns =
-        std::chrono::duration<double, std::nano>(now - prev_).count();
-    prev_ = now;
-    if (stage == "agreement") {
-      agreement_ns += ns;
-    } else if (stage == "exclusion") {
-      exclusion_ns += ns;
-    } else if (stage == "collation") {
-      average_ns += ns;
-    } else {
-      other_ns += ns;
+    const size_t index = StageIndex(stage);
+    if (index < kStages) {
+      stage_ns[index] +=
+          std::chrono::duration<double, std::nano>(now - prev_).count();
     }
+    prev_ = now;
   }
   bool wants_vote_result() const override { return false; }
 
-  double agreement_ns = 0.0;
-  double exclusion_ns = 0.0;
-  double average_ns = 0.0;
-  double other_ns = 0.0;
+  std::array<double, kStages> stage_ns{};
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -132,10 +134,17 @@ int main(int argc, char** argv) {
     double max_err;
     double us_per_round;
     double rounds_per_sec;
-    double ns_agreement;
-    double ns_exclusion;
-    double ns_average;
-    double ns_other;
+    std::array<double, kStages> stage_ns;  ///< per round, kStageNames order
+
+    double ns(std::string_view stage) const {
+      return stage_ns[StageIndex(stage)];
+    }
+    /// The pre-split "other" bucket: every stage but exclusion,
+    /// agreement and collation.
+    double ns_other() const {
+      return ns("quorum") + ns("clustering") + ns("elimination") +
+             ns("weighting") + ns("majority") + ns("history");
+    }
   };
   std::vector<Row> json_rows;
   size_t cross_rounds = 0;
@@ -144,9 +153,12 @@ int main(int argc, char** argv) {
   std::printf("=== redundancy scaling: %zu rounds, 20%% faulty modules "
               "(+25%% bias) ===\n",
               rounds);
-  std::printf("%-8s, %-12s, %10s, %10s, %10s, %8s, %8s, %8s, %8s\n",
-              "modules", "algorithm", "mean-err", "max-err", "us/round",
-              "agr-ns", "exc-ns", "avg-ns", "oth-ns");
+  std::printf("%-8s, %-12s, %10s, %10s, %10s", "modules", "algorithm",
+              "mean-err", "max-err", "us/round");
+  for (const std::string_view stage : avoc::core::kStageNames) {
+    std::printf(", %7.3s-ns", stage.data());
+  }
+  std::printf("\n");
 
   for (const size_t modules : {3, 5, 9, 16, 24, 48}) {
     const auto table = MakeTable(modules, rounds, seed, kTruth);
@@ -187,22 +199,21 @@ int main(int argc, char** argv) {
         if (value.has_value()) err.Add(std::abs(*value - kTruth));
       }
       const double us_per_round = best_us / static_cast<double>(rounds);
-      const double per_round = 1.0 / static_cast<double>(rounds);
-      const Row row{modules,
-                    config.label,
-                    err.mean(),
-                    err.max(),
-                    us_per_round,
-                    1e6 / us_per_round,
-                    timer.agreement_ns * per_round,
-                    timer.exclusion_ns * per_round,
-                    timer.average_ns * per_round,
-                    timer.other_ns * per_round};
-      std::printf("%8zu, %-12s, %10.2f, %10.2f, %10.2f, %8.0f, %8.0f, "
-                  "%8.0f, %8.0f\n",
-                  row.modules, row.algorithm.c_str(), row.mean_err,
-                  row.max_err, row.us_per_round, row.ns_agreement,
-                  row.ns_exclusion, row.ns_average, row.ns_other);
+      Row row{modules,
+              config.label,
+              err.mean(),
+              err.max(),
+              us_per_round,
+              1e6 / us_per_round,
+              {}};
+      for (size_t i = 0; i < kStages; ++i) {
+        row.stage_ns[i] = timer.stage_ns[i] / static_cast<double>(rounds);
+      }
+      std::printf("%8zu, %-12s, %10.2f, %10.2f, %10.2f", row.modules,
+                  row.algorithm.c_str(), row.mean_err, row.max_err,
+                  row.us_per_round);
+      for (const double ns : row.stage_ns) std::printf(", %10.0f", ns);
+      std::printf("\n");
       json_rows.push_back(row);
     }
 
@@ -259,17 +270,23 @@ int main(int argc, char** argv) {
                  rounds, repeat, cross_rounds, cross_mismatches);
     for (size_t i = 0; i < json_rows.size(); ++i) {
       const Row& row = json_rows[i];
-      std::fprintf(
-          json,
-          "    {\"modules\": %zu, \"algorithm\": \"%s\", "
-          "\"mean_err\": %.4f, \"max_err\": %.4f, "
-          "\"us_per_round\": %.4f, \"rounds_per_sec\": %.1f, "
-          "\"ns_per_round\": {\"agreement\": %.1f, \"exclusion\": %.1f, "
-          "\"average\": %.1f, \"other\": %.1f}}%s\n",
-          row.modules, row.algorithm.c_str(), row.mean_err, row.max_err,
-          row.us_per_round, row.rounds_per_sec, row.ns_agreement,
-          row.ns_exclusion, row.ns_average, row.ns_other,
-          i + 1 < json_rows.size() ? "," : "");
+      std::fprintf(json,
+                   "    {\"modules\": %zu, \"algorithm\": \"%s\", "
+                   "\"mean_err\": %.4f, \"max_err\": %.4f, "
+                   "\"us_per_round\": %.4f, \"rounds_per_sec\": %.1f, "
+                   "\"ns_per_round\": {",
+                   row.modules, row.algorithm.c_str(), row.mean_err,
+                   row.max_err, row.us_per_round, row.rounds_per_sec);
+      for (size_t k = 0; k < kStages; ++k) {
+        std::fprintf(json, "\"%s\": %.1f, ",
+                     std::string(avoc::core::kStageNames[k]).c_str(),
+                     row.stage_ns[k]);
+      }
+      // "average" (= collation) and "other" are the pre-split buckets,
+      // kept so older readers still parse.
+      std::fprintf(json, "\"average\": %.1f, \"other\": %.1f}}%s\n",
+                   row.ns("collation"), row.ns_other(),
+                   i + 1 < json_rows.size() ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");
     std::fclose(json);

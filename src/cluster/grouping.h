@@ -51,6 +51,50 @@ struct GroupingResult {
   const Group& largest() const { return groups.front(); }
 };
 
+// --- Linkage kernel ---------------------------------------------------------
+//
+// The one threshold-linkage implementation.  GroupByThreshold and
+// SelectWinningGroup below are built on it, and the voting engine's
+// clustering stage calls it directly with a scratch it owns, so a warm
+// engine clusters without touching the heap.
+
+/// One group of the linkage, as positions [begin, end) of the sorted
+/// index order.
+struct LinkageRun {
+  size_t begin = 0;
+  size_t end = 0;
+  double mean = 0.0;  ///< run sum, accumulated in sorted order, / size()
+
+  size_t size() const { return end - begin; }
+};
+
+/// Reusable state of LinkByThreshold.  Keeping one alive across calls
+/// keeps the kernel allocation-free once the capacity covers the largest
+/// input seen.
+struct LinkageScratch {
+  /// Input indices sorted by value.
+  std::vector<size_t> order;
+  /// The runs, ranked like GroupingResult::groups (descending size, ties
+  /// by ascending mean).
+  std::vector<LinkageRun> runs;
+};
+
+/// Sorts the indices of `values` into scratch.order (`std::sort` by
+/// `values[a] < values[b]`), cuts the sorted order wherever the gap to
+/// the next value exceeds the threshold, and ranks the runs into
+/// scratch.runs.  Empty input yields no runs.
+void LinkByThreshold(std::span<const double> values,
+                     const GroupingOptions& options, LinkageScratch& scratch);
+
+/// Index into scratch.runs of the winning run of the last LinkByThreshold
+/// over `values`; same rule as SelectWinningGroup.  The median reference
+/// is read off scratch.order.  Requires at least one run.
+size_t WinningRun(std::span<const double> values,
+                  const LinkageScratch& scratch,
+                  const double* previous_output = nullptr);
+
+// --- Materializing API ------------------------------------------------------
+
 /// Groups `values` by threshold linkage.  Empty input yields zero groups.
 GroupingResult GroupByThreshold(std::span<const double> values,
                                 const GroupingOptions& options = {});

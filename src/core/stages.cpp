@@ -454,16 +454,17 @@ void VoteContext::Fault(RoundOutcome outcome, Status status) {
 }
 
 Status VoteContext::ApplyClustering(const cluster::GroupingOptions& options) {
-  const cluster::GroupingResult grouping =
-      cluster::GroupByThreshold(included_values, options);
+  if (included_values.empty()) {
+    return InvalidArgumentError("no groups to select from");
+  }
+  cluster::LinkByThreshold(included_values, options, clustering_scratch);
   const double* prev =
       previous_output.has_value() ? &*previous_output : nullptr;
-  AVOC_ASSIGN_OR_RETURN(
-      const cluster::Group winner,
-      cluster::SelectWinningGroup(grouping, included_values, prev));
+  const cluster::LinkageRun& winner = clustering_scratch.runs[
+      cluster::WinningRun(included_values, clustering_scratch, prev)];
   std::fill(in_winning_cluster.begin(), in_winning_cluster.end(), uint8_t{0});
-  for (const size_t member : winner.members) {
-    in_winning_cluster[member] = 1;
+  for (size_t i = winner.begin; i < winner.end; ++i) {
+    in_winning_cluster[clustering_scratch.order[i]] = 1;
   }
   used_clustering = true;
   return Status::Ok();

@@ -48,7 +48,8 @@ inline constexpr std::array<std::string_view, 9> kStageNames = {
 
 /// One round's scratch state, threaded through the stage chain.  Owned by
 /// the engine and reused across rounds (Begin resets everything), so the
-/// hot path performs no per-round vector allocations once warmed up.
+/// hot path performs no heap allocations once warmed up — clustering
+/// included; tests/core_alloc_test.cpp pins this at zero per round.
 struct VoteContext {
   // --- round inputs (set by Begin) -----------------------------------------
   const EngineConfig* config = nullptr;
@@ -95,6 +96,8 @@ struct VoteContext {
   kernels::AgreementScratch agreement_scratch;
   kernels::ExclusionScratch exclusion_scratch;
   kernels::WeightedMeanScratch mean_scratch;
+  /// Sorted order and runs of the clustering step's threshold linkage.
+  cluster::LinkageScratch clustering_scratch;
 
   // --- fault short-circuit -------------------------------------------------
   /// Engaged when a fault policy fired; the remaining stages are skipped
