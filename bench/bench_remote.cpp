@@ -1,11 +1,8 @@
-// Remote SUBMIT throughput: legacy line protocol vs binary frames.
+// Remote SUBMIT throughput: batched vs pipelined binary frames.
 //
-// The line protocol costs one request/response round trip — and one text
-// parse — per reading; the binary protocol ships hundreds of readings per
-// SUBMIT_BATCH frame and the server votes completed rounds in one
-// columnar engine pass.  Three modes over the identical loopback
-// workload (R rounds x M modules into one AVOC group):
-//   legacy-line       one SUBMIT line + OK line per reading
+// A SUBMIT_BATCH frame ships hundreds of readings and the server votes
+// completed rounds in one columnar engine pass.  Two modes over the
+// identical loopback workload (R rounds x M modules into one AVOC group):
 //   binary-batched    SUBMIT_BATCH frames of --batch readings, one
 //                     round trip per frame
 //   binary-pipelined  same frames, --depth of them in flight
@@ -92,20 +89,6 @@ std::vector<BatchReading> MakeReadings(size_t rounds, size_t modules) {
 }
 
 /// -1.0 on failure; otherwise elapsed seconds for the submit phase.
-double RunLegacy(uint16_t port, std::span<const BatchReading> readings) {
-  auto client = RemoteVoterClient::Connect("127.0.0.1", port);
-  if (!client.ok()) return -1.0;
-  const auto start = std::chrono::steady_clock::now();
-  for (const BatchReading& reading : readings) {
-    if (!client
-             ->Submit("bench", reading.module, reading.round, reading.value)
-             .ok()) {
-      return -1.0;
-    }
-  }
-  return SecondsSince(start);
-}
-
 double RunBatched(uint16_t port, std::span<const BatchReading> readings,
                   size_t batch, size_t depth) {
   auto client = RemoteVoterClient::ConnectBinary("127.0.0.1", port);
@@ -151,25 +134,19 @@ int main(int argc, char** argv) {
               "loopback, best of %zu ===\n",
               rounds, modules, repeat);
 
-  ModeResult legacy{"legacy-line"};
   ModeResult batched{"binary-batched"};
   ModeResult pipelined{"binary-pipelined"};
   struct Job {
     ModeResult* result;
-    size_t batch;
-    size_t depth;  ///< 0 = legacy line protocol
+    size_t depth;
   };
-  const Job jobs[] = {{&legacy, 0, 0},
-                      {&batched, batch, 1},
-                      {&pipelined, batch, depth}};
+  const Job jobs[] = {{&batched, 1}, {&pipelined, depth}};
   for (const Job& job : jobs) {
     for (size_t it = 0; it < repeat; ++it) {
       auto fixture = Fixture::Create(modules);
       if (fixture == nullptr) return 1;
       const uint16_t port = fixture->server->port();
-      const double seconds =
-          job.depth == 0 ? RunLegacy(port, readings)
-                         : RunBatched(port, readings, job.batch, job.depth);
+      const double seconds = RunBatched(port, readings, batch, job.depth);
       if (seconds < 0.0) {
         std::fprintf(stderr, "%s run failed\n", job.result->mode);
         return 1;
@@ -184,18 +161,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  ModeResult* modes[] = {&legacy, &batched, &pipelined};
+  ModeResult* modes[] = {&batched, &pipelined};
   std::printf("%-18s, %10s, %14s\n", "mode", "seconds", "readings/s");
   for (ModeResult* m : modes) {
     m->readings_per_sec = total / m->seconds;
     std::printf("%-18s, %10.3f, %14.0f\n", m->mode, m->seconds,
                 m->readings_per_sec);
   }
-  const double speedup_batched = legacy.seconds / batched.seconds;
-  const double speedup_pipelined = legacy.seconds / pipelined.seconds;
-  std::printf(
-      "\nbatched vs legacy: %.1fx; pipelined (depth %zu) vs legacy: %.1fx\n",
-      speedup_batched, depth, speedup_pipelined);
+  const double speedup_pipelined = batched.seconds / pipelined.seconds;
+  std::printf("\npipelined (depth %zu) vs batched: %.1fx\n", depth,
+              speedup_pipelined);
 
   std::FILE* json = std::fopen(json_path.c_str(), "w");
   if (json != nullptr) {
@@ -208,17 +183,16 @@ int main(int argc, char** argv) {
                  "  \"batch\": %zu,\n"
                  "  \"depth\": %zu,\n"
                  "  \"repeat\": %zu,\n"
-                 "  \"speedup_batched_vs_legacy\": %.3f,\n"
-                 "  \"speedup_pipelined_vs_legacy\": %.3f,\n"
+                 "  \"speedup_pipelined_vs_batched\": %.3f,\n"
                  "  \"results\": [\n",
                  rounds, modules, readings.size(), batch, depth, repeat,
-                 speedup_batched, speedup_pipelined);
-    for (size_t i = 0; i < 3; ++i) {
+                 speedup_pipelined);
+    for (size_t i = 0; i < std::size(modes); ++i) {
       std::fprintf(json,
                    "    {\"mode\": \"%s\", \"seconds\": %.6f, "
                    "\"readings_per_sec\": %.1f}%s\n",
                    modes[i]->mode, modes[i]->seconds,
-                   modes[i]->readings_per_sec, i + 1 < 3 ? "," : "");
+                   modes[i]->readings_per_sec, i + 1 < std::size(modes) ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");
     std::fclose(json);

@@ -1,11 +1,10 @@
 // Length-prefixed binary frame protocol for the networked voter service.
 //
-// The line protocol of runtime/remote.h costs one request/response round
-// trip — and one text parse — per reading.  The paper's deployment shape
-// (sensors → VINT hub → WiFi → voting sink-node) fans thousands of edge
-// readings into one ingest tier, so the wire format here is built for
-// batching: a single SUBMIT_BATCH frame carries N readings and the server
-// turns it into one columnar engine pass.
+// This is the one wire protocol of runtime/remote.h.  The paper's
+// deployment shape (sensors → VINT hub → WiFi → voting sink-node) fans
+// thousands of edge readings into one ingest tier, so the format is built
+// for batching: a single SUBMIT_BATCH frame carries N readings and the
+// server turns it into one columnar engine pass.
 //
 // Wire format (after the 2-byte connection preamble, see kBinaryMagic):
 //
@@ -80,9 +79,10 @@
 
 namespace avoc::runtime {
 
-/// Connection preamble announcing the binary protocol.  0xAB is outside
-/// printable ASCII, so the first byte alone separates framed clients from
-/// legacy line-protocol clients (whose verbs are uppercase ASCII).
+/// Connection preamble: the first two bytes of every client connection.
+/// 0xAB is outside printable ASCII, so a text client is rejected on its
+/// first byte; a connection that opens with anything else gets one ERROR
+/// frame and is closed.
 inline constexpr uint8_t kBinaryMagic[2] = {0xAB, 0x0C};
 
 /// Default ceiling on one frame's body (type byte + payload).

@@ -220,8 +220,10 @@ IoOp SimWorld::EndpointRead(int handle, char* buffer, size_t len) {
   }
   Pipe& rx = is_client ? conn->s2c : conn->c2s;
   if (rx.delivered.empty()) {
-    if (rx.src_closed && rx.in_flight.empty()) return IoOp{IoOp::Kind::kEof};
-    return IoOp{IoOp::Kind::kWouldBlock};
+    if (rx.src_closed && rx.in_flight.empty()) {
+      return IoOp{IoOp::Kind::kEof, 0, {}};
+    }
+    return IoOp{IoOp::Kind::kWouldBlock, 0, {}};
   }
   size_t n = std::min(len, rx.delivered.size());
   if (options_.fault_plan.max_read_bytes > 0) {
@@ -229,7 +231,7 @@ IoOp SimWorld::EndpointRead(int handle, char* buffer, size_t len) {
   }
   std::memcpy(buffer, rx.delivered.data(), n);
   rx.delivered.erase(0, n);
-  return IoOp{IoOp::Kind::kDone, n};
+  return IoOp{IoOp::Kind::kDone, n, {}};
 }
 
 IoOp SimWorld::EndpointWrite(int handle, const char* data, size_t len) {
@@ -249,13 +251,15 @@ IoOp SimWorld::EndpointWrite(int handle, const char* data, size_t len) {
   }
   Pipe& tx = is_client ? conn->c2s : conn->s2c;
   const size_t used = tx.bytes_in_flight + tx.delivered.size();
-  if (used >= options_.pipe_capacity_bytes) return IoOp{IoOp::Kind::kWouldBlock};
+  if (used >= options_.pipe_capacity_bytes) {
+    return IoOp{IoOp::Kind::kWouldBlock, 0, {}};
+  }
   size_t n = std::min(len, options_.pipe_capacity_bytes - used);
   if (options_.fault_plan.max_segment_bytes > 0) {
     n = std::min(n, options_.fault_plan.max_segment_bytes);
   }
   EnqueueBytes(*conn, /*c2s=*/is_client, std::string_view(data, n));
-  return IoOp{IoOp::Kind::kDone, n};
+  return IoOp{IoOp::Kind::kDone, n, {}};
 }
 
 void SimWorld::EnqueueBytes(Conn& conn, bool c2s, std::string_view data) {
@@ -641,12 +645,6 @@ Status SimTransport::SendAll(std::string_view data) {
 
 Result<size_t> SimTransport::ReceiveSome(char* buffer, size_t len) {
   if (len == 0) return InvalidArgumentError("zero-length receive");
-  if (!line_buffer_.empty()) {
-    const size_t n = std::min(len, line_buffer_.size());
-    std::memcpy(buffer, line_buffer_.data(), n);
-    line_buffer_.erase(0, n);
-    return n;
-  }
   while (true) {
     IoOp op = world_->EndpointRead(handle_, buffer, len);
     switch (op.kind) {
@@ -657,37 +655,6 @@ Result<size_t> SimTransport::ReceiveSome(char* buffer, size_t len) {
         break;
       case IoOp::Kind::kEof:
         return NotFoundError("connection closed");
-      case IoOp::Kind::kError:
-        return op.status;
-    }
-  }
-}
-
-Result<std::string> SimTransport::ReceiveLine() {
-  while (true) {
-    const size_t newline = line_buffer_.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = line_buffer_.substr(0, newline);
-      line_buffer_.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return line;
-    }
-    char chunk[4096];
-    IoOp op = world_->EndpointRead(handle_, chunk, sizeof chunk);
-    switch (op.kind) {
-      case IoOp::Kind::kDone:
-        line_buffer_.append(chunk, op.bytes);
-        break;
-      case IoOp::Kind::kWouldBlock:
-        AVOC_RETURN_IF_ERROR(AwaitReadable());
-        break;
-      case IoOp::Kind::kEof: {
-        if (line_buffer_.empty()) return NotFoundError("connection closed");
-        std::string line;
-        line.swap(line_buffer_);
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        return line;
-      }
       case IoOp::Kind::kError:
         return op.status;
     }

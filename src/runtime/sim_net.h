@@ -108,8 +108,8 @@ struct FaultPlan {
   /// strictly inside [0, horizon_ms).  Never corrupts the stream.
   static FaultPlan Chaos(uint64_t seed, uint64_t horizon_ms);
 
-  /// Delays + fragmentation only; no resets, no windows.  Safe for the
-  /// legacy line protocol (which has no retry story).
+  /// Delays + fragmentation only; no resets, no windows.  Safe for a
+  /// plain client with no retry story (per-reading Submit frames).
   static FaultPlan Gentle(uint64_t seed);
 };
 
@@ -347,7 +347,6 @@ class SimTransport : public Transport {
   IoOp WriteSome(const char* data, size_t len) override;
 
   Status SendAll(std::string_view data) override;
-  Result<std::string> ReceiveLine() override;
   Result<size_t> ReceiveSome(char* buffer, size_t len) override;
   Status SetReceiveTimeoutMs(int timeout_ms) override;
 
@@ -362,7 +361,6 @@ class SimTransport : public Transport {
   SimWorld* world_ = nullptr;
   int handle_ = -1;
   int receive_timeout_ms_ = 0;
-  std::string line_buffer_;
 };
 
 /// Listener over a SimWorld port.

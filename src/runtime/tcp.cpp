@@ -8,7 +8,6 @@
 #include <sys/time.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -92,45 +91,7 @@ Status TcpConnection::SendAll(std::string_view data) {
   return Status::Ok();
 }
 
-Result<std::string> TcpConnection::ReceiveLine() {
-  for (;;) {
-    const size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return line;
-    }
-    char chunk[1024];
-    const ssize_t n = ::recv(socket_.fd(), chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      // A blocking socket with SO_RCVTIMEO reports expiry as EAGAIN;
-      // name it so retry layers can distinguish timeout from breakage.
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return IoError("recv timed out");
-      }
-      return Errno("recv");
-    }
-    if (n == 0) {
-      if (buffer_.empty()) return NotFoundError("connection closed");
-      std::string line = std::move(buffer_);
-      buffer_.clear();
-      return line;  // final unterminated line
-    }
-    buffer_.append(chunk, static_cast<size_t>(n));
-  }
-}
-
 Result<size_t> TcpConnection::ReceiveSome(char* buffer, size_t len) {
-  // Serve out of the line buffer first so mixing ReceiveLine and
-  // ReceiveSome on the same connection never loses bytes.
-  if (!buffer_.empty()) {
-    const size_t take = std::min(len, buffer_.size());
-    std::memcpy(buffer, buffer_.data(), take);
-    buffer_.erase(0, take);
-    return take;
-  }
   for (;;) {
     const ssize_t n = ::recv(socket_.fd(), buffer, len, 0);
     if (n < 0) {

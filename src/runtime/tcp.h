@@ -3,10 +3,9 @@
 // The paper's deployment streams sensor readings over the network (sensors
 // → VINT hub → WiFi → voting sink-node); runtime/remote.h implements that
 // wire path, and these wrappers keep the socket handling exception-free
-// and leak-free.  IPv4 only.  Two I/O styles coexist: the original
-// blocking line-oriented helpers (SendLine/ReceiveLine, used by clients
-// and the legacy protocol), and non-blocking ReadSome/WriteSome for the
-// epoll event loop (runtime/event_loop.h) behind SetNonBlocking.
+// and leak-free.  IPv4 only.  Two I/O styles coexist: blocking
+// SendAll/ReceiveSome for clients, and non-blocking ReadSome/WriteSome
+// for the epoll event loop (runtime/event_loop.h) behind SetNonBlocking.
 #pragma once
 
 #include <atomic>
@@ -45,7 +44,7 @@ class Socket {
   std::atomic<int> fd_{-1};
 };
 
-/// A connected TCP stream with line-oriented helpers.  Implements the
+/// A connected TCP stream.  Implements the
 /// Transport seam (runtime/transport.h) so the remote runtime can run
 /// over real sockets or the simulated network interchangeably.
 class TcpConnection : public Transport {
@@ -65,11 +64,6 @@ class TcpConnection : public Transport {
 
   /// Sends the whole buffer (handles partial writes).
   Status SendAll(std::string_view data) override;
-
-  /// Receives up to the next '\n' (stripped, including a preceding '\r').
-  /// Returns NotFound at orderly EOF with no pending data; IoError on
-  /// timeout (when set) or socket errors.
-  Result<std::string> ReceiveLine() override;
 
   /// Blocking read of up to `len` raw bytes (at least one).  NotFound at
   /// orderly EOF, IoError on timeout or socket errors.
@@ -97,7 +91,6 @@ class TcpConnection : public Transport {
 
  private:
   Socket socket_;
-  std::string buffer_;  // bytes received beyond the last returned line
 };
 
 /// A listening TCP socket bound to 127.0.0.1.

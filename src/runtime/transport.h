@@ -37,8 +37,8 @@ struct IoOp {
 /// A connected duplex byte stream.  Two I/O styles coexist, matching the
 /// two sides of the remote runtime: the event-loop server uses the
 /// non-blocking ReadSome/WriteSome half; clients use the blocking
-/// SendAll/ReceiveLine/ReceiveSome half.  A given stream is used in one
-/// style at a time.
+/// SendAll/ReceiveSome half.  A given stream is used in one style at a
+/// time.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -62,11 +62,6 @@ class Transport {
   /// Sends the whole buffer (handles partial writes).
   virtual Status SendAll(std::string_view data) = 0;
 
-  /// Receives up to the next '\n' (stripped, including a preceding '\r').
-  /// NotFound at orderly EOF with no pending data; IoError on timeout
-  /// (when set) or stream errors.
-  virtual Result<std::string> ReceiveLine() = 0;
-
   /// Blocking read of up to `len` raw bytes (at least one).  NotFound at
   /// orderly EOF, IoError on timeout or stream errors.
   virtual Result<size_t> ReceiveSome(char* buffer, size_t len) = 0;
@@ -84,13 +79,6 @@ class Transport {
   virtual Status SetSendBufferBytes(int bytes) = 0;
 
   virtual void Close() = 0;
-
-  /// Sends one line (appends '\n').  Convenience over SendAll.
-  Status SendLine(std::string_view line) {
-    std::string framed(line);
-    framed.push_back('\n');
-    return SendAll(framed);
-  }
 };
 
 /// Accepts inbound Transport streams.

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 namespace avoc::data {
 namespace {
@@ -101,8 +104,13 @@ TEST(CsvWriteTest, QuotesSpecialFields) {
 }
 
 TEST(CsvFileTest, WriteAndReadBack) {
+  // Per-case name: ctest runs cases as parallel processes.
+  const std::string name =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
   const std::string path =
-      (std::filesystem::temp_directory_path() / "avoc_csv_test.csv").string();
+      (std::filesystem::temp_directory_path() /
+       ("avoc_csv_test_" + std::to_string(::getpid()) + "_" + name + ".csv"))
+          .string();
   CsvTable table;
   table.header = {"round", "E1"};
   table.rows = {{"0", "18500.5"}, {"1", ""}};

@@ -2,10 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
+#include <string>
 
 namespace avoc::data {
 namespace {
+
+/// A temp directory unique to this test case and process: ctest runs
+/// cases as parallel processes, and a shared name would let one case
+/// delete another's files.
+std::filesystem::path CaseTempDir(const std::string& prefix) {
+  return std::filesystem::temp_directory_path() /
+         (prefix + "_" + std::to_string(::getpid()) + "_" +
+          ::testing::UnitTest::GetInstance()->current_test_info()->name());
+}
 
 RoundTable SampleTable() {
   RoundTable table({"E1", "E2"});
@@ -46,7 +58,7 @@ TEST(DatasetCsvTest, RejectsNonNumericCells) {
 }
 
 TEST(DatasetFileTest, SaveAndLoadWithMetadata) {
-  const auto dir = std::filesystem::temp_directory_path() / "avoc_ds_test";
+  const auto dir = CaseTempDir("avoc_ds_test");
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "sample.csv").string();
 
@@ -72,7 +84,7 @@ TEST(DatasetFileTest, SaveAndLoadWithMetadata) {
 }
 
 TEST(DatasetFileTest, SaveWithoutMetadataSkipsSidecar) {
-  const auto dir = std::filesystem::temp_directory_path() / "avoc_ds_test2";
+  const auto dir = CaseTempDir("avoc_ds_test2");
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "bare.csv").string();
   ASSERT_TRUE(SaveDataset(path, SampleTable()).ok());

@@ -4,8 +4,11 @@
 // corrupting results.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "core/algorithms.h"
 #include "data/csv.h"
@@ -14,6 +17,15 @@
 
 namespace avoc {
 namespace {
+
+/// A temp directory unique to this test case and process: ctest runs
+/// cases as parallel processes, and a shared name would let one case
+/// delete another's files.
+std::filesystem::path CaseTempDir(const std::string& prefix) {
+  return std::filesystem::temp_directory_path() /
+         (prefix + "_" + std::to_string(::getpid()) + "_" +
+          ::testing::UnitTest::GetInstance()->current_test_info()->name());
+}
 
 TEST(FailureInjectionTest, UnwritableStoreSurfacesButVotingContinues) {
   // A store rooted in a non-existent directory fails every flush.
@@ -43,8 +55,7 @@ TEST(FailureInjectionTest, UnwritableStoreSurfacesButVotingContinues) {
 }
 
 TEST(FailureInjectionTest, CorruptHistoryFileRejectedAtOpen) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "avoc_failure_test";
+  const auto dir = CaseTempDir("avoc_failure_test");
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "history.json").string();
   {
@@ -92,8 +103,7 @@ TEST(FailureInjectionTest, WriteCsvToUnwritablePathFails) {
 }
 
 TEST(FailureInjectionTest, RegistryDirectoryWithBrokenSpecFailsLoud) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "avoc_failure_registry";
+  const auto dir = CaseTempDir("avoc_failure_registry");
   std::filesystem::create_directories(dir);
   {
     std::ofstream out(dir / "good.json");

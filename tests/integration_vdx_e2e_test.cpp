@@ -3,6 +3,8 @@
 // integration surface.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 
@@ -18,7 +20,9 @@ namespace {
 class VdxE2eTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "avoc_vdx_e2e";
+    dir_ = std::filesystem::temp_directory_path() /
+           ("avoc_vdx_e2e_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

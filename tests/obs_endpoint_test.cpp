@@ -3,7 +3,6 @@
 #include <chrono>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "core/algorithms.h"
 #include "obs/metrics.h"
@@ -27,7 +26,8 @@ class ObsEndpointTest : public ::testing::Test {
   void TearDown() override { server_->Stop(); }
 
   RemoteVoterClient MustConnect() {
-    auto client = RemoteVoterClient::Connect("127.0.0.1", server_->port());
+    auto client =
+        RemoteVoterClient::ConnectBinary("127.0.0.1", server_->port());
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return std::move(*client);
   }
@@ -87,20 +87,6 @@ TEST_F(ObsEndpointTest, HealthListsGroupsWithStatus) {
   EXPECT_NE(line.find("status=ok"), std::string::npos) << line;
 }
 
-TEST_F(ObsEndpointTest, RawMetricsResponseIsEndTerminated) {
-  auto raw = TcpConnection::Connect("127.0.0.1", server_->port());
-  ASSERT_TRUE(raw.ok());
-  ASSERT_TRUE(raw->SendLine("METRICS").ok());
-  std::vector<std::string> lines;
-  for (int i = 0; i < 10000; ++i) {
-    auto line = raw->ReceiveLine();
-    ASSERT_TRUE(line.ok());
-    if (*line == "END") break;
-    lines.push_back(std::move(*line));
-  }
-  EXPECT_FALSE(lines.empty());
-}
-
 TEST_F(ObsEndpointTest, MetricsWithoutRegistryIsAnError) {
   VoterGroupManager bare_manager;  // no registry wired
   ASSERT_TRUE(bare_manager
@@ -109,8 +95,8 @@ TEST_F(ObsEndpointTest, MetricsWithoutRegistryIsAnError) {
                   .ok());
   auto bare_server = RemoteVoterServer::Start(&bare_manager, 0);
   ASSERT_TRUE(bare_server.ok());
-  auto client = RemoteVoterClient::Connect("127.0.0.1",
-                                           (*bare_server)->port());
+  auto client = RemoteVoterClient::ConnectBinary("127.0.0.1",
+                                                 (*bare_server)->port());
   ASSERT_TRUE(client.ok());
   auto metrics = client->Metrics();
   EXPECT_FALSE(metrics.ok());

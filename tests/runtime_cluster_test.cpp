@@ -10,6 +10,8 @@
 //     exactly-once;
 //   * negative paths: every malformed or impossible migration request
 //     answers a TYPED error — nothing hangs, nothing crashes;
+//   * one wire protocol: text request lines never reach a group, so they
+//     cannot skip the MOVED check or the standby hold;
 //   * telemetry identity: HEALTH lines, TRACE_DUMP spans, and metric
 //     families carry the node="<id>" label so fan-outs across nodes stay
 //     attributable;
@@ -22,12 +24,14 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/algorithms.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/cluster.h"
+#include "runtime/framing.h"
 #include "runtime/group_manager.h"
 #include "runtime/migration.h"
 #include "runtime/remote.h"
@@ -177,8 +181,7 @@ TEST(ClusterMigrationTest, DedupEntriesTravelWithTheGroup) {
   const auto workload = WorkloadFor(kSeed);
   auto transport = (*cluster)->DialNode(source);
   ASSERT_TRUE(transport.ok());
-  auto writer =
-      RemoteVoterClient::FromTransport(std::move(*transport), /*binary=*/true);
+  auto writer = RemoteVoterClient::FromTransport(std::move(*transport));
   ASSERT_TRUE(writer.ok());
   auto first = writer->SubmitBatchSeq("edge-7", 1, "lights", workload[0]);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
@@ -190,8 +193,7 @@ TEST(ClusterMigrationTest, DedupEntriesTravelWithTheGroup) {
   // from the migrated dedup cache, not double-ingested.
   auto transport2 = (*cluster)->DialNode(dest);
   ASSERT_TRUE(transport2.ok());
-  auto resender =
-      RemoteVoterClient::FromTransport(std::move(*transport2), /*binary=*/true);
+  auto resender = RemoteVoterClient::FromTransport(std::move(*transport2));
   ASSERT_TRUE(resender.ok());
   auto replay = resender->SubmitBatchSeq("edge-7", 1, "lights", workload[0]);
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
@@ -215,8 +217,7 @@ TEST(ClusterMigrationTest, WireMigrateGroupVerbCommitsAndOldOwnerRedirects) {
 
   auto transport = (*cluster)->DialNode(source);
   ASSERT_TRUE(transport.ok());
-  auto client =
-      RemoteVoterClient::FromTransport(std::move(*transport), /*binary=*/true);
+  auto client = RemoteVoterClient::FromTransport(std::move(*transport));
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client->MigrateGroup("lights", dest).ok());
   EXPECT_EQ((*cluster)->OwnerOf("lights"), dest);
@@ -431,8 +432,7 @@ TEST(ClusterMigrationNegativeTest, StandaloneServerRejectsMigrateGroupVerb) {
 
   auto transport = world.Connect(7);
   ASSERT_TRUE(transport.ok());
-  auto client =
-      RemoteVoterClient::FromTransport(std::move(*transport), /*binary=*/true);
+  auto client = RemoteVoterClient::FromTransport(std::move(*transport));
   ASSERT_TRUE(client.ok());
   const Status status = client->MigrateGroup("lights", 1);
   ASSERT_FALSE(status.ok());
@@ -441,6 +441,121 @@ TEST(ClusterMigrationNegativeTest, StandaloneServerRejectsMigrateGroupVerb) {
   // The connection stays healthy for ordinary traffic.
   EXPECT_TRUE(client->Ping().ok());
   (*server)->Stop();
+}
+
+// --- one wire protocol -------------------------------------------------------
+
+/// Text request lines a line-protocol client would send: a full round of
+/// `lights` plus its CLOSE.  Were any of it executed, the group would fuse
+/// round 0.
+constexpr std::string_view kRequestLines =
+    "SUBMIT lights 0 0 1.0\n"
+    "SUBMIT lights 1 0 1.0\n"
+    "SUBMIT lights 2 0 1.0\n"
+    "CLOSE lights 0\n";
+
+/// Sends `bytes` as the first bytes of a connection, then collects every
+/// frame the server answers until it hangs up.  `*closed` reports whether
+/// the server closed the connection (orderly EOF).
+std::vector<Frame> ExchangeRaw(Transport& transport, std::string_view bytes,
+                               bool* closed) {
+  *closed = false;
+  EXPECT_TRUE(transport.SetReceiveTimeoutMs(1000).ok());
+  EXPECT_TRUE(transport.SendAll(bytes).ok());
+  FrameDecoder decoder;
+  std::vector<Frame> frames;
+  char chunk[256];
+  for (;;) {
+    auto n = transport.ReceiveSome(chunk, sizeof(chunk));
+    if (!n.ok()) {
+      *closed = n.status().code() == ErrorCode::kNotFound;
+      break;
+    }
+    decoder.Feed(std::string_view(chunk, *n));
+    for (auto frame = decoder.Next(); frame.ok(); frame = decoder.Next()) {
+      frames.push_back(std::move(*frame));
+    }
+  }
+  return frames;
+}
+
+void ExpectPreambleError(const std::vector<Frame>& frames, bool closed) {
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].type, FrameType::kError);
+  std::string reason;
+  ASSERT_TRUE(DecodeError(frames[0].payload, &reason).ok());
+  EXPECT_NE(reason.find("preamble"), std::string::npos) << reason;
+  EXPECT_TRUE(closed) << "server kept the connection open";
+}
+
+size_t OpenRounds(VoterGroupManager& manager, const std::string& group) {
+  auto runner = manager.runner(group);
+  EXPECT_TRUE(runner.ok()) << runner.status().ToString();
+  return runner.ok() ? (*runner)->hub().open_rounds() : 0;
+}
+
+TEST(ClusterWireProtocolTest, LineBytesToPlainServerGetTypedErrorAndClose) {
+  SimWorld world(kSeed);
+  VoterGroupManager manager;
+  ASSERT_TRUE(manager
+                  .AddGroup("lights", *core::MakeEngine(
+                                          core::AlgorithmId::kAvoc, kModules))
+                  .ok());
+  auto listener = world.Listen(7);
+  ASSERT_TRUE(listener.ok());
+  auto server = RemoteVoterServer::StartOnReactor(
+      &manager, RemoteServerOptions{}, std::move(*listener), world.reactor(),
+      /*spawn_loop_thread=*/false);
+  ASSERT_TRUE(server.ok());
+
+  auto transport = world.Connect(7);
+  ASSERT_TRUE(transport.ok());
+  bool closed = false;
+  const std::vector<Frame> frames =
+      ExchangeRaw(**transport, kRequestLines, &closed);
+  ExpectPreambleError(frames, closed);
+  auto sink = manager.sink("lights");
+  ASSERT_TRUE(sink.ok());
+  EXPECT_EQ((*sink)->output_count(), 0u);
+  EXPECT_EQ(OpenRounds(manager, "lights"), 0u);
+  EXPECT_EQ((*server)->requests_served(), 0u);
+  (*server)->Stop();
+}
+
+// A SUBMIT/CLOSE line to the owner of a group on a node with a hot
+// standby must not reach the group: executing it would fork the group's
+// history from the standby's (no replication hold) and skip MOVED.
+TEST(ClusterWireProtocolTest, LineBytesToClusteredNodeChangeNoSinkOrStandby) {
+  SimWorld world(kSeed);
+  VoterCluster::Options options;
+  options.nodes = 2;
+  options.hot_standbys = true;
+  auto cluster = VoterCluster::StartOnWorld(&world, options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  ASSERT_TRUE((*cluster)->AddGroup("lights", AvocMaker()).ok());
+  world.Pump();
+  const size_t owner = (*cluster)->OwnerOf("lights");
+  RemoteVoterServer* standby = (*cluster)->StandbyServer(owner);
+  ASSERT_NE(standby, nullptr);
+  const size_t applies_before = standby->replicated_applies();
+
+  for (size_t node = 0; node < options.nodes; ++node) {
+    SCOPED_TRACE(StrFormat("node=%zu", node));
+    auto transport = (*cluster)->DialNode(node);
+    ASSERT_TRUE(transport.ok()) << transport.status().ToString();
+    bool closed = false;
+    const std::vector<Frame> frames =
+        ExchangeRaw(**transport, kRequestLines, &closed);
+    ExpectPreambleError(frames, closed);
+  }
+  world.Pump();
+
+  auto sink = (*cluster)->sink("lights");
+  ASSERT_TRUE(sink.ok()) << sink.status().ToString();
+  EXPECT_EQ((*sink)->output_count(), 0u);
+  EXPECT_EQ(OpenRounds(*(*cluster)->ActiveManager(owner), "lights"), 0u);
+  EXPECT_EQ(standby->replicated_applies(), applies_before);
+  (*cluster)->Stop();
 }
 
 // --- per-node telemetry identity --------------------------------------------
@@ -464,8 +579,7 @@ TEST(ClusterTelemetryTest, HealthMetricsAndTraceDumpCarryNodeLabels) {
   const auto workload = WorkloadFor(kSeed);
   auto transport = (*cluster)->DialNode(owner);
   ASSERT_TRUE(transport.ok());
-  auto client =
-      RemoteVoterClient::FromTransport(std::move(*transport), /*binary=*/true);
+  auto client = RemoteVoterClient::FromTransport(std::move(*transport));
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client->SubmitBatch("lights", workload[0]).ok());
 

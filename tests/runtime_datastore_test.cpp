@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 
@@ -60,7 +62,11 @@ TEST(HistoryStoreTest, GroupsSorted) {
 class FileStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "avoc_store_test";
+    // Per-case directory: ctest runs cases as parallel processes, and a
+    // shared one would let one case's TearDown delete another's files.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("avoc_store_test_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::create_directories(dir_);
     path_ = (dir_ / "history.json").string();
   }

@@ -3,10 +3,10 @@
 // The same seeded workload is pushed through (a) the in-process
 // VoterGroupManager batch API, (b) the binary frame protocol over a
 // chaotic-but-healing simulated network with the resilient client, (c)
-// the legacy line protocol over a gentle simulated network (delays and
-// fragmentation only — the line protocol has no retry identity), (d)
-// the 3-shard ShardedVoterServer under the same chaos, where the
-// target group lives on whatever shard the router says and the
+// per-reading Submit frames from a plain client over a gentle simulated
+// network (delays and fragmentation only — a plain client has no retry
+// identity), (d) the 3-shard ShardedVoterServer under the same chaos,
+// where the target group lives on whatever shard the router says and the
 // connection must migrate to reach it, and (e) a 2-node VoterCluster
 // under the same chaos with the group MIGRATED between nodes twice
 // mid-workload, the client chasing MOVED redirects.  All five must
@@ -116,7 +116,7 @@ std::string BinaryChaosTrace(uint64_t seed) {
   return trace;
 }
 
-std::string LegacyGentleTrace(uint64_t seed) {
+std::string PerReadingGentleTrace(uint64_t seed) {
   SimWorld::Options options;
   options.fault_plan = FaultPlan::Gentle(seed);
   SimWorld world(seed, options);
@@ -131,8 +131,7 @@ std::string LegacyGentleTrace(uint64_t seed) {
 
   auto transport = world.Connect(kPort);
   EXPECT_TRUE(transport.ok());
-  auto client =
-      RemoteVoterClient::FromTransport(std::move(*transport), /*binary=*/false);
+  auto client = RemoteVoterClient::FromTransport(std::move(*transport));
   EXPECT_TRUE(client.ok()) << client.status().ToString();
   for (const std::vector<BatchReading>& batch : WorkloadFor(seed)) {
     for (const BatchReading& r : batch) {
@@ -267,7 +266,7 @@ TEST(DifferentialTest, AllIngestPathsProduceIdenticalSinkTraces) {
     ASSERT_NE(in_process, "<no sink>");
     ASSERT_FALSE(in_process.empty());
     EXPECT_EQ(BinaryChaosTrace(seed), in_process);
-    EXPECT_EQ(LegacyGentleTrace(seed), in_process);
+    EXPECT_EQ(PerReadingGentleTrace(seed), in_process);
     EXPECT_EQ(ShardedChaosTrace(seed), in_process);
     EXPECT_EQ(ClusterMigrationTrace(seed), in_process);
   }

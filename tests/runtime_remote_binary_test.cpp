@@ -103,23 +103,6 @@ TEST_F(RemoteBinaryTest, PipelinedBatchesReplyInOrder) {
   EXPECT_EQ((*sink)->output_count(), kFrames);
 }
 
-// Both protocols share the port; detection is per-connection.
-TEST_F(RemoteBinaryTest, BinaryAndLegacyClientsCoexist) {
-  RemoteVoterClient binary = MustConnectBinary();
-  auto legacy = RemoteVoterClient::Connect("127.0.0.1", server_->port());
-  ASSERT_TRUE(legacy.ok());
-  ASSERT_TRUE(legacy->Submit("lights", 0, 0, 30.0).ok());
-  const std::vector<BatchReading> rest = {{1, 0, 31.0}, {2, 0, 32.0}};
-  auto accepted = binary.SubmitBatch("lights", rest);
-  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
-  EXPECT_EQ(*accepted, 2u);
-  auto via_legacy = legacy->Query("lights");
-  auto via_binary = binary.Query("lights");
-  ASSERT_TRUE(via_legacy.ok());
-  ASSERT_TRUE(via_binary.ok());
-  EXPECT_EQ(*via_legacy, *via_binary);
-}
-
 TEST_F(RemoteBinaryTest, ControlFramesWork) {
   RemoteVoterClient client = MustConnectBinary();
   EXPECT_TRUE(client.Ping().ok());

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "core/algorithms.h"
+#include "runtime/framing.h"
 
 namespace avoc::runtime {
 namespace {
@@ -24,7 +25,8 @@ class RemoteTest : public ::testing::Test {
   void TearDown() override { server_->Stop(); }
 
   RemoteVoterClient MustConnect() {
-    auto client = RemoteVoterClient::Connect("127.0.0.1", server_->port());
+    auto client =
+        RemoteVoterClient::ConnectBinary("127.0.0.1", server_->port());
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return std::move(*client);
   }
@@ -94,7 +96,8 @@ TEST_F(RemoteTest, MultipleConcurrentClients) {
   // of a round arrived (module 2 is fed by the main thread).
   for (int m = 0; m < 2; ++m) {
     feeders.emplace_back([this, m] {
-      auto client = RemoteVoterClient::Connect("127.0.0.1", server_->port());
+      auto client =
+          RemoteVoterClient::ConnectBinary("127.0.0.1", server_->port());
       ASSERT_TRUE(client.ok());
       for (int r = 0; r < kRounds; ++r) {
         ASSERT_TRUE(client
@@ -120,21 +123,40 @@ TEST_F(RemoteTest, MultipleConcurrentClients) {
   (void)kClients;
 }
 
+// The frame protocol is the only protocol: a connection that opens with
+// a text request instead of the 0xAB 0x0C preamble gets one typed ERROR
+// frame and a close, and the request never reaches the group.
 TEST_F(RemoteTest, MalformedRequestsYieldErrors) {
   auto raw = TcpConnection::Connect("127.0.0.1", server_->port());
   ASSERT_TRUE(raw.ok());
-  ASSERT_TRUE(raw->SendLine("SUBMIT lights notanumber 0 1.0").ok());
-  auto response = raw->ReceiveLine();
-  ASSERT_TRUE(response.ok());
-  EXPECT_TRUE(response->rfind("ERR", 0) == 0) << *response;
-  ASSERT_TRUE(raw->SendLine("FROBNICATE").ok());
-  response = raw->ReceiveLine();
-  ASSERT_TRUE(response.ok());
-  EXPECT_TRUE(response->rfind("ERR", 0) == 0);
-  ASSERT_TRUE(raw->SendLine("QUIT").ok());
-  response = raw->ReceiveLine();
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(*response, "BYE");
+  ASSERT_TRUE(raw->SetReceiveTimeoutMs(5000).ok());
+  ASSERT_TRUE(raw->SendAll("SUBMIT lights 0 0 1.0\n").ok());
+  FrameDecoder decoder;
+  std::string received;
+  char chunk[256];
+  for (;;) {
+    auto n = raw->ReceiveSome(chunk, sizeof(chunk));
+    if (!n.ok()) {
+      // The server hangs up after the error frame.
+      EXPECT_EQ(n.status().code(), ErrorCode::kNotFound)
+          << n.status().ToString();
+      break;
+    }
+    received.append(chunk, *n);
+  }
+  decoder.Feed(received);
+  auto frame = decoder.Next();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->type, FrameType::kError);
+  std::string reason;
+  ASSERT_TRUE(DecodeError(frame->payload, &reason).ok());
+  EXPECT_NE(reason.find("preamble"), std::string::npos) << reason;
+  EXPECT_EQ(decoder.Next().status().code(), ErrorCode::kNotFound);
+  auto runner = manager_.runner("lights");
+  ASSERT_TRUE(runner.ok());
+  EXPECT_EQ((*runner)->hub().open_rounds(), 0u);
+  EXPECT_EQ((*runner)->sink().output_count(), 0u);
+  EXPECT_EQ(server_->requests_served(), 0u);
 }
 
 TEST_F(RemoteTest, ServerStopsCleanlyWithConnectedClients) {

@@ -71,9 +71,8 @@ class ShardedSimTest : public ::testing::Test {
     if (server_ != nullptr) server_->Stop();
   }
 
-  RemoteVoterClient MustClient(bool binary) {
-    auto client =
-        RemoteVoterClient::FromTransport(MustConnect(*world_, kPort), binary);
+  RemoteVoterClient MustClient() {
+    auto client = RemoteVoterClient::FromTransport(MustConnect(*world_, kPort));
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return std::move(*client);
   }
@@ -122,7 +121,7 @@ TEST_F(ShardedSimTest, FirstGroupRequestMigratesToOwningShard) {
   // The first accepted connection lands on shard 0 (round-robin start);
   // submitting to a group owned elsewhere must migrate it.
   const std::string group = GroupOwnedBy(2, kGroups);
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
   auto accepted = client.SubmitBatch(group, MakeReadings(3));
   ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
   EXPECT_EQ(*accepted, 3u);
@@ -147,7 +146,7 @@ TEST_F(ShardedSimTest, ForeignGroupRequestsForwardWithRepliesInOrder) {
   // discriminate local (2) from forwarded (3) replies, so any reply
   // reordering under pipelining is visible to the client.
   StartSharded(23, 3, kGroups, {}, {}, {{"group-1", 2}});
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
   const std::string home = "group-1";  // shard 1 (pinned by golden test)
   const std::string away = GroupOwnedBy(2, kGroups);
   ASSERT_EQ(server_->shard_of(home), 1u);
@@ -180,39 +179,41 @@ TEST_F(ShardedSimTest, ForeignGroupRequestsForwardWithRepliesInOrder) {
   ASSERT_TRUE(value.ok()) << value.status().ToString();
 }
 
+// Two request shapes at once: whole-round SUBMIT_BATCH frames on one
+// connection, per-reading Submit + CLOSE frames on another.
 TEST_F(ShardedSimTest, MixedProtocolsOnDifferentShardsConcurrently) {
   StartSharded(24, 3, kGroups);
-  const std::string binary_group = GroupOwnedBy(1, kGroups);
-  const std::string legacy_group = GroupOwnedBy(2, kGroups);
+  const std::string batch_group = GroupOwnedBy(1, kGroups);
+  const std::string single_group = GroupOwnedBy(2, kGroups);
 
-  RemoteVoterClient binary = MustClient(/*binary=*/true);
-  RemoteVoterClient legacy = MustClient(/*binary=*/false);
+  RemoteVoterClient batched = MustClient();
+  RemoteVoterClient single = MustClient();
 
   // Interleave requests so both connections are live at once, each
-  // migrated to (and served by) a different shard in its own protocol.
-  ASSERT_TRUE(binary.SubmitBatch(binary_group, MakeReadings(3)).ok());
+  // migrated to (and served by) a different shard.
+  ASSERT_TRUE(batched.SubmitBatch(batch_group, MakeReadings(3)).ok());
   for (uint64_t m = 0; m < 3; ++m) {
-    ASSERT_TRUE(legacy.Submit(legacy_group, m, 0, 30.0 + m).ok());
+    ASSERT_TRUE(single.Submit(single_group, m, 0, 30.0 + m).ok());
   }
-  ASSERT_TRUE(binary.SubmitBatch(binary_group, MakeReadings(3, 1)).ok());
-  ASSERT_TRUE(legacy.CloseRound(legacy_group, 0).ok());
+  ASSERT_TRUE(batched.SubmitBatch(batch_group, MakeReadings(3, 1)).ok());
+  ASSERT_TRUE(single.CloseRound(single_group, 0).ok());
 
-  auto binary_value = binary.Query(binary_group);
-  ASSERT_TRUE(binary_value.ok()) << binary_value.status().ToString();
-  auto legacy_value = legacy.Query(legacy_group);
-  ASSERT_TRUE(legacy_value.ok()) << legacy_value.status().ToString();
-  EXPECT_NEAR(*legacy_value, 31.0, 1.5);
+  auto batch_value = batched.Query(batch_group);
+  ASSERT_TRUE(batch_value.ok()) << batch_value.status().ToString();
+  auto single_value = single.Query(single_group);
+  ASSERT_TRUE(single_value.ok()) << single_value.status().ToString();
+  EXPECT_NEAR(*single_value, 31.0, 1.5);
   EXPECT_GE(server_->migrations(), 2u);
 
-  // Cross-protocol isolation: each group fused on its own shard only.
-  EXPECT_EQ((*server_->sink(binary_group))->output_count(), 2u);
-  EXPECT_EQ((*server_->sink(legacy_group))->output_count(), 1u);
+  // Isolation: each group fused on its own shard only.
+  EXPECT_EQ((*server_->sink(batch_group))->output_count(), 2u);
+  EXPECT_EQ((*server_->sink(single_group))->output_count(), 1u);
 }
 
 TEST_F(ShardedSimTest, DedupReplayWorksAfterMigration) {
   StartSharded(25, 3, kGroups);
   const std::string group = GroupOwnedBy(2, kGroups);
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
 
   auto first = client.SubmitBatchSeq("edge-7", 1, group, MakeReadings(3));
   ASSERT_TRUE(first.ok()) << first.status().ToString();
@@ -229,7 +230,7 @@ TEST_F(ShardedSimTest, DedupReplayWorksAfterMigration) {
 
 TEST_F(ShardedSimTest, FanOutVerbsSeeEveryShard) {
   StartSharded(26, 3, kGroups);
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
   // Pin the connection to a non-zero shard so the fan-out answers below
   // provably cross shards.
   ASSERT_TRUE(client.SubmitBatch(GroupOwnedBy(1, kGroups), MakeReadings(3))
@@ -264,7 +265,7 @@ TEST_F(ShardedSimTest, FanOutVerbsSeeEveryShard) {
 
 TEST_F(ShardedSimTest, ShardScopedMetricsCountMigrationsAndForwards) {
   StartSharded(27, 3, kGroups);
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
   ASSERT_TRUE(client.SubmitBatch(GroupOwnedBy(1, kGroups), MakeReadings(3))
                   .ok());
   ASSERT_TRUE(client.SubmitBatch(GroupOwnedBy(2, kGroups), MakeReadings(3))
@@ -303,8 +304,8 @@ TEST_F(ShardedSimTest, RoundRobinHandoffSpreadsFreshConnections) {
   StartSharded(28, 2, kGroups);
   // Two ping-only clients: neither ever pins, so they stay where the
   // acceptor handed them — one on each shard.
-  RemoteVoterClient a = MustClient(/*binary=*/true);
-  RemoteVoterClient b = MustClient(/*binary=*/true);
+  RemoteVoterClient a = MustClient();
+  RemoteVoterClient b = MustClient();
   ASSERT_TRUE(a.Ping().ok());
   ASSERT_TRUE(b.Ping().ok());
   EXPECT_EQ(server_->migrations(), 0u);
@@ -318,7 +319,7 @@ TEST_F(ShardedSimTest, RoundRobinHandoffSpreadsFreshConnections) {
 
 TEST_F(ShardedSimTest, SingleShardDegradesToPlainServer) {
   StartSharded(29, 1, {"lights"});
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
   auto accepted = client.SubmitBatch("lights", MakeReadings(3));
   ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
   EXPECT_EQ(*accepted, 3u);
@@ -366,8 +367,7 @@ TEST_F(ShardedSimTest, MultiShardRunsReplayDeterministically) {
     {
       auto transport = world.Connect(kPort);
       EXPECT_TRUE(transport.ok());
-      auto client =
-          RemoteVoterClient::FromTransport(std::move(*transport), true);
+      auto client = RemoteVoterClient::FromTransport(std::move(*transport));
       EXPECT_TRUE(client.ok());
       for (const std::string& g : kGroups) {
         (void)client->SubmitBatch(g, MakeReadings(3));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +21,20 @@ std::unique_ptr<Transport> MustConnect(SimWorld& world, uint16_t port) {
   auto transport = world.Connect(port);
   EXPECT_TRUE(transport.ok()) << transport.status().ToString();
   return std::move(*transport);
+}
+
+/// Blocking-reads exactly `size` bytes (in virtual time) or fails the test.
+std::string ReceiveExactly(Transport& transport, size_t size) {
+  std::string received;
+  char chunk[256];
+  while (received.size() < size) {
+    auto n = transport.ReceiveSome(chunk, std::min(sizeof(chunk),
+                                                   size - received.size()));
+    EXPECT_TRUE(n.ok()) << n.status().ToString();
+    if (!n.ok()) break;
+    received.append(chunk, *n);
+  }
+  return received;
 }
 
 TEST(SimWorldTest, VirtualClockAdvancesOnlyWhenDriven) {
@@ -44,16 +59,13 @@ TEST(SimWorldTest, LoopbackRoundTripWithLatency) {
   ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
 
   const uint64_t sent_at = world.NowMs();
-  ASSERT_TRUE(client->SendLine("hello sim").ok());
-  auto line = (*accepted)->ReceiveLine();  // blocks in virtual time
-  ASSERT_TRUE(line.ok()) << line.status().ToString();
-  EXPECT_EQ(*line, "hello sim");
+  ASSERT_TRUE(client->SendAll("hello sim").ok());
+  // Blocks in virtual time.
+  EXPECT_EQ(ReceiveExactly(**accepted, 9), "hello sim");
   EXPECT_GE(world.NowMs(), sent_at + 5);  // paid the simulated latency
 
-  ASSERT_TRUE((*accepted)->SendLine("right back").ok());
-  auto reply = client->ReceiveLine();
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(*reply, "right back");
+  ASSERT_TRUE((*accepted)->SendAll("right back").ok());
+  EXPECT_EQ(ReceiveExactly(*client, 10), "right back");
 }
 
 TEST(SimWorldTest, SegmentationReassemblesExactly) {
@@ -70,10 +82,9 @@ TEST(SimWorldTest, SegmentationReassemblesExactly) {
   ASSERT_TRUE(accepted.ok());
 
   const std::string payload(100, 'x');
-  ASSERT_TRUE(client->SendLine(payload + "end").ok());
-  auto line = (*accepted)->ReceiveLine();
-  ASSERT_TRUE(line.ok()) << line.status().ToString();
-  EXPECT_EQ(*line, payload + "end");  // FIFO + no loss despite 35 segments
+  ASSERT_TRUE(client->SendAll(payload + "end").ok());
+  // FIFO + no loss despite 35 segments.
+  EXPECT_EQ(ReceiveExactly(**accepted, payload.size() + 3), payload + "end");
 }
 
 TEST(SimWorldTest, ResetFailsBothSides) {
@@ -86,10 +97,11 @@ TEST(SimWorldTest, ResetFailsBothSides) {
   ASSERT_TRUE(accepted.ok());
 
   world.ResetAllConnections();
-  EXPECT_FALSE(client->SendLine("after reset").ok());
-  auto line = (*accepted)->ReceiveLine();
-  EXPECT_FALSE(line.ok());
-  EXPECT_EQ(line.status().code(), ErrorCode::kIoError);
+  EXPECT_FALSE(client->SendAll("after reset").ok());
+  char buffer[16];
+  auto got = (*accepted)->ReceiveSome(buffer, sizeof buffer);
+  EXPECT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), ErrorCode::kIoError);
 }
 
 TEST(SimWorldTest, BlackholedDirectionTimesOutTheReader) {
@@ -104,11 +116,12 @@ TEST(SimWorldTest, BlackholedDirectionTimesOutTheReader) {
   ASSERT_TRUE(accepted.ok());
   ASSERT_TRUE((*accepted)->SetReceiveTimeoutMs(50).ok());
 
-  ASSERT_TRUE(client->SendLine("into the void").ok());  // silently dropped
+  ASSERT_TRUE(client->SendAll("into the void").ok());  // silently dropped
   const uint64_t before = world.NowMs();
-  auto line = (*accepted)->ReceiveLine();
-  EXPECT_FALSE(line.ok());
-  EXPECT_EQ(line.status().code(), ErrorCode::kIoError);
+  char buffer[16];
+  auto got = (*accepted)->ReceiveSome(buffer, sizeof buffer);
+  EXPECT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), ErrorCode::kIoError);
   EXPECT_GE(world.NowMs(), before + 50);  // waited out the virtual timeout
 }
 
@@ -160,8 +173,9 @@ TEST(SimWorldTest, IdenticalSeedsReplayIdenticalTraces) {
     if (client.ok()) {
       world.RunFor(5);
       auto accepted = (*listener)->TryAcceptTransport();
-      (void)(*client)->SendLine("payload one");
-      if (accepted.ok()) (void)(*accepted)->ReceiveLine();
+      (void)(*client)->SendAll("payload one");
+      char buffer[16];
+      if (accepted.ok()) (void)(*accepted)->ReceiveSome(buffer, sizeof buffer);
     }
     world.RunFor(2500);
     return world.TraceText();
@@ -206,9 +220,8 @@ class SimServerTest : public ::testing::Test {
     if (server_ != nullptr) server_->Stop();
   }
 
-  RemoteVoterClient MustClient(bool binary) {
-    auto client = RemoteVoterClient::FromTransport(
-        MustConnect(*world_, kPort), binary);
+  RemoteVoterClient MustClient() {
+    auto client = RemoteVoterClient::FromTransport(MustConnect(*world_, kPort));
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return std::move(*client);
   }
@@ -221,7 +234,7 @@ class SimServerTest : public ::testing::Test {
 
 TEST_F(SimServerTest, BinarySubmitBatchReachesSinkSingleThreaded) {
   StartWorld(11);
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
   std::vector<BatchReading> readings;
   for (uint64_t m = 0; m < 3; ++m) readings.push_back({m, 0, 20.0 + m});
   auto accepted = client.SubmitBatch("lights", readings);
@@ -234,20 +247,9 @@ TEST_F(SimServerTest, BinarySubmitBatchReachesSinkSingleThreaded) {
   ASSERT_TRUE(value.ok()) << value.status().ToString();
 }
 
-TEST_F(SimServerTest, LegacyLineProtocolWorksOverSim) {
-  StartWorld(12);
-  RemoteVoterClient client = MustClient(/*binary=*/false);
-  for (uint64_t m = 0; m < 3; ++m) {
-    ASSERT_TRUE(client.Submit("lights", m, 0, 20.0 + m).ok());
-  }
-  auto value = client.Query("lights");
-  ASSERT_TRUE(value.ok()) << value.status().ToString();
-  EXPECT_NEAR(*value, 21.0, 1.5);
-}
-
 TEST_F(SimServerTest, DuplicateSeqIsAnsweredFromDedupCache) {
   StartWorld(13);
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
   std::vector<BatchReading> readings;
   for (uint64_t m = 0; m < 3; ++m) readings.push_back({m, 0, 20.0 + m});
 
@@ -279,7 +281,7 @@ TEST_F(SimServerTest, IdleTimeoutFiresOnVirtualClock) {
   RemoteServerOptions server_options;
   server_options.idle_timeout_ms = 50;
   StartWorld(14, {}, server_options);
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
   ASSERT_TRUE(client.Ping().ok());
 
   world_->RunFor(500);  // idle well past the timeout, in virtual time only
@@ -292,7 +294,7 @@ TEST_F(SimServerTest, LargeResponseDrainsThroughTinyPipe) {
   SimWorld::Options options;
   options.pipe_capacity_bytes = 256;
   StartWorld(15, options);
-  RemoteVoterClient client = MustClient(/*binary=*/true);
+  RemoteVoterClient client = MustClient();
   std::vector<BatchReading> readings;
   for (uint64_t m = 0; m < 3; ++m) readings.push_back({m, 0, 20.0 + m});
   ASSERT_TRUE(client.SubmitBatch("lights", readings).ok());

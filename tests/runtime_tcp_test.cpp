@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <thread>
 
 namespace avoc::runtime {
@@ -26,6 +28,20 @@ Pair MakePair() {
   return Pair{std::move(*server_side), std::move(client_side)};
 }
 
+/// Blocking-reads exactly `size` bytes (or fails the test).
+std::string ReceiveExactly(TcpConnection& conn, size_t size) {
+  std::string received;
+  char chunk[4096];
+  while (received.size() < size) {
+    auto n = conn.ReceiveSome(chunk, std::min(sizeof(chunk),
+                                              size - received.size()));
+    EXPECT_TRUE(n.ok()) << n.status().ToString();
+    if (!n.ok()) break;
+    received.append(chunk, *n);
+  }
+  return received;
+}
+
 TEST(TcpTest, ListenOnEphemeralPortReportsIt) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
@@ -48,57 +64,20 @@ TEST(TcpTest, ConnectRejectsGarbageHost) {
   EXPECT_FALSE(TcpConnection::Connect("not-an-address", 1).ok());
 }
 
-TEST(TcpTest, SendLineReceiveLine) {
-  Pair pair = MakePair();
-  ASSERT_TRUE(pair.client.SendLine("hello").ok());
-  auto line = pair.server.ReceiveLine();
-  ASSERT_TRUE(line.ok());
-  EXPECT_EQ(*line, "hello");
-}
-
-TEST(TcpTest, MultipleLinesInOneSegment) {
-  Pair pair = MakePair();
-  ASSERT_TRUE(pair.client.SendAll("a\nb\nc\n").ok());
-  EXPECT_EQ(*pair.server.ReceiveLine(), "a");
-  EXPECT_EQ(*pair.server.ReceiveLine(), "b");
-  EXPECT_EQ(*pair.server.ReceiveLine(), "c");
-}
-
-TEST(TcpTest, LineSplitAcrossSends) {
-  Pair pair = MakePair();
-  ASSERT_TRUE(pair.client.SendAll("par").ok());
-  ASSERT_TRUE(pair.client.SendAll("tial\nrest\n").ok());
-  EXPECT_EQ(*pair.server.ReceiveLine(), "partial");
-  EXPECT_EQ(*pair.server.ReceiveLine(), "rest");
-}
-
-TEST(TcpTest, CrlfStripped) {
-  Pair pair = MakePair();
-  ASSERT_TRUE(pair.client.SendAll("dos line\r\n").ok());
-  EXPECT_EQ(*pair.server.ReceiveLine(), "dos line");
-}
-
-TEST(TcpTest, EofReturnsFinalUnterminatedLine) {
-  Pair pair = MakePair();
-  ASSERT_TRUE(pair.client.SendAll("no newline").ok());
-  pair.client.Close();
-  auto line = pair.server.ReceiveLine();
-  ASSERT_TRUE(line.ok());
-  EXPECT_EQ(*line, "no newline");
-  auto eof = pair.server.ReceiveLine();
-  EXPECT_FALSE(eof.ok());
-  EXPECT_EQ(eof.status().code(), ErrorCode::kNotFound);
-}
-
 TEST(TcpTest, ReceiveTimeoutSurfacesAsIoError) {
   Pair pair = MakePair();
   ASSERT_TRUE(pair.server.SetReceiveTimeoutMs(50).ok());
-  auto line = pair.server.ReceiveLine();
-  EXPECT_FALSE(line.ok());
-  EXPECT_EQ(line.status().code(), ErrorCode::kIoError);
+  // Bytes that already arrived are returned; the next read, with nothing
+  // in flight, times out instead of blocking forever.
+  ASSERT_TRUE(pair.client.SendAll("abc").ok());
+  EXPECT_EQ(ReceiveExactly(pair.server, 3), "abc");
+  char buffer[16];
+  auto n = pair.server.ReceiveSome(buffer, sizeof(buffer));
+  EXPECT_FALSE(n.ok());
+  EXPECT_EQ(n.status().code(), ErrorCode::kIoError);
   // The message must name the timeout (not strerror(EAGAIN)) so retry
   // layers can count it as a request timeout rather than breakage.
-  EXPECT_NE(line.status().message().find("timed out"), std::string::npos);
+  EXPECT_NE(n.status().message().find("timed out"), std::string::npos);
 }
 
 TEST(TcpTest, ReceiveSomeTimeoutIsNamedToo) {
@@ -131,10 +110,10 @@ TEST(TcpTest, SendAllPushesThroughTinySendBuffer) {
 
 TEST(TcpTest, BidirectionalTraffic) {
   Pair pair = MakePair();
-  ASSERT_TRUE(pair.client.SendLine("ping").ok());
-  ASSERT_EQ(*pair.server.ReceiveLine(), "ping");
-  ASSERT_TRUE(pair.server.SendLine("pong").ok());
-  EXPECT_EQ(*pair.client.ReceiveLine(), "pong");
+  ASSERT_TRUE(pair.client.SendAll("ping").ok());
+  ASSERT_EQ(ReceiveExactly(pair.server, 4), "ping");
+  ASSERT_TRUE(pair.server.SendAll("pong").ok());
+  EXPECT_EQ(ReceiveExactly(pair.client, 4), "pong");
 }
 
 TEST(TcpTest, CloseUnblocksAccept) {
@@ -152,14 +131,22 @@ TEST(TcpTest, CloseUnblocksAccept) {
 TEST(TcpTest, LargePayloadRoundTrips) {
   Pair pair = MakePair();
   const std::string payload(64 * 1024, 'x');
-  std::thread sender([&] {
-    ASSERT_TRUE(pair.client.SendLine(payload).ok());
-  });
-  auto line = pair.server.ReceiveLine();
+  std::thread sender([&] { ASSERT_TRUE(pair.client.SendAll(payload).ok()); });
+  const std::string received = ReceiveExactly(pair.server, payload.size());
   sender.join();
-  ASSERT_TRUE(line.ok());
-  EXPECT_EQ(line->size(), payload.size());
-  EXPECT_EQ(*line, payload);
+  EXPECT_EQ(received.size(), payload.size());
+  EXPECT_EQ(received, payload);
+}
+
+TEST(TcpTest, EofAfterDataReportsNotFound) {
+  Pair pair = MakePair();
+  ASSERT_TRUE(pair.client.SendAll("tail").ok());
+  pair.client.Close();
+  EXPECT_EQ(ReceiveExactly(pair.server, 4), "tail");
+  char byte;
+  auto eof = pair.server.ReceiveSome(&byte, 1);
+  EXPECT_FALSE(eof.ok());
+  EXPECT_EQ(eof.status().code(), ErrorCode::kNotFound);
 }
 
 }  // namespace

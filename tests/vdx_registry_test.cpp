@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 
@@ -13,7 +15,9 @@ namespace {
 class RegistryFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "avoc_vdx_registry";
+    dir_ = std::filesystem::temp_directory_path() /
+           ("avoc_vdx_registry_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
