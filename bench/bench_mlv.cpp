@@ -15,12 +15,13 @@
 #include "core/mlv.h"
 #include "util/cli.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace {
 
 constexpr size_t kAlphabet = 8;
 
-std::string Symbol(size_t i) { return "s" + std::to_string(i); }
+std::string Symbol(size_t i) { return avoc::StrFormat("s%zu", i); }
 
 /// Generates one module reading: the truth with probability 1-error, else
 /// a uniformly random other symbol.

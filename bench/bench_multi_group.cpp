@@ -26,7 +26,6 @@
 #include "runtime/multi_group.h"
 #include "util/cli.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -192,7 +191,7 @@ int main(int argc, char** argv) {
   const double median_ratio = pair_ratio[pair_ratio.size() / 2];
   const avoc::runtime::MultiGroupStats stats = instrumented->Stats();
 
-  const size_t workers = avoc::util::ThreadPool(threads).thread_count();
+  const size_t workers = parallel->thread_count();
   ModeResult par{"columnar-parallel", "columnar", workers};
   avoc::runtime::MultiGroupTrace par_trace;
   for (size_t it = 0; it < repeat; ++it) {

@@ -4,7 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "runtime/group_router.h"
 #include "util/strings.h"
 #include "vdx/factory.h"
 
@@ -162,54 +161,37 @@ Status MultiGroupEngine::ValidateTables(
   return Status::Ok();
 }
 
+size_t MultiGroupEngine::thread_count() const {
+  const size_t configured =
+      options_.threads != 0
+          ? options_.threads
+          : std::max<size_t>(1, std::thread::hardware_concurrency());
+  return std::min(configured, engines_.size());
+}
+
 Status MultiGroupEngine::RunBatch(std::span<const data::RoundTable> tables,
                                   MultiGroupTrace& trace) {
   AVOC_RETURN_IF_ERROR(ValidateTables(tables));
   trace.Resize(tables, module_count_);
-  const unsigned hardware = std::thread::hardware_concurrency();
-  const size_t configured =
-      options_.threads != 0 ? options_.threads
-                            : (hardware != 0 ? hardware : 1);
-  const size_t workers = std::min(configured, engines_.size());
-  if (workers <= 1) {
-    // One worker would pay pool dispatch and join for nothing — run the
-    // identical per-group loop inline so the parallel entry point never
-    // loses to the sequential one on a single-core host.
-    for (size_t g = 0; g < engines_.size(); ++g) {
-      MultiGroupTrace::GroupSink sink(&trace, g);
-      AVOC_RETURN_IF_ERROR(core::RunOverTable(engines_[g], tables[g], sink));
-    }
-  } else {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<util::ThreadPool>(options_.threads);
-    }
-    // One contiguous group range per worker (GroupRouter's dense
-    // partition): each worker owns an adjacent slice of the group-major
-    // block, so writes from different workers never interleave within a
-    // cache line (the old one-task-per-group scatter did, and also paid
-    // one queue round-trip per group instead of per worker).  Each group's
-    // table feeds the engine's many-rounds block entry point whole
-    // (ValidateTables already proved the arity), so a worker streams its
-    // group range through one instruction stream.
-    GroupRouter router(workers);
-    std::vector<Status> statuses(workers);
-    pool_->ParallelFor(
-        workers, [this, tables, &trace, &statuses, &router](size_t w) {
-          const ShardRange range = router.RangeFor(w, engines_.size());
-          for (size_t g = range.begin; g < range.end; ++g) {
-            MultiGroupTrace::GroupSink sink(&trace, g);
-            const Status status = engines_[g].CastVoteBlock(
-                core::RoundBlock{tables[g].value_block(),
-                                 tables[g].present_block(), module_count_},
-                sink);
-            if (!status.ok() && statuses[w].ok()) statuses[w] = status;
-          }
-        });
-    for (const Status& status : statuses) {
-      AVOC_RETURN_IF_ERROR(status);
-    }
+  if (pool_ == nullptr) {
+    pool_ = std::make_unique<util::ThreadPool>(thread_count());
   }
-  // The pool join above orders every worker's pending counts before this.
+  // One pool index per group: the caller and the workers each claim the
+  // next unclaimed group, so a thread on a slow vCPU votes fewer groups
+  // instead of holding up the batch.  A group's rounds all run on the
+  // thread that claimed it, in order, writing only that group's slice of
+  // the block; slices are contiguous, so two threads share at most the
+  // cache lines at a slice boundary.
+  std::vector<Status> statuses(engines_.size());
+  pool_->ParallelFor(
+      engines_.size(), [this, tables, &trace, &statuses](size_t g) {
+        MultiGroupTrace::GroupSink sink(&trace, g);
+        statuses[g] = core::RunOverTable(engines_[g], tables[g], sink);
+      });
+  for (const Status& status : statuses) {
+    AVOC_RETURN_IF_ERROR(status);
+  }
+  // ParallelFor's join orders every group's pending counts before this.
   FlushObservers();
   SyncHistory();
   return Status::Ok();

@@ -6,8 +6,9 @@
 // (they share the immutable stage pipeline), keeps every group's history
 // records in one contiguous group-major block for cache-friendly
 // persistence snapshots, and runs batch workloads across groups on a
-// worker pool (util/thread_pool.h): groups are independent, so each
-// worker drives whole groups with no cross-group synchronisation.
+// fork-join pool (util/thread_pool.h): groups are independent, so each
+// thread claims whole groups and votes them with no cross-group
+// synchronisation.
 #pragma once
 
 #include <cstddef>
@@ -29,7 +30,9 @@ namespace avoc::runtime {
 
 /// MultiGroupEngine configuration.
 struct MultiGroupOptions {
-  /// Worker threads for RunBatch (0 = one per hardware thread).
+  /// Threads that vote in RunBatch, the calling thread included: the
+  /// pool starts `threads - 1` workers (0 = one thread per hardware
+  /// thread; never more threads than groups).
   size_t threads = 0;
   /// Telemetry registry (optional).  When set, every group gets an
   /// obs::MetricsObserver; groups map onto `metrics_shards` metric scopes
@@ -151,15 +154,21 @@ class MultiGroupEngine {
   size_t group_count() const { return engines_.size(); }
   size_t module_count() const { return module_count_; }
 
+  /// Threads RunBatch votes on, the caller included: `threads` resolved
+  /// (0 = hardware threads) and capped at group_count().
+  size_t thread_count() const;
+
   core::VotingEngine& group(size_t g) { return engines_[g]; }
   const core::VotingEngine& group(size_t g) const { return engines_[g]; }
 
-  /// Runs one table per group across the worker pool, writing all groups
+  /// Runs one table per group across the thread pool, writing all groups
   /// into `trace`'s group-major block (resized to fit, capacity kept
   /// across calls).  Requires tables.size() == group_count() and every
-  /// table to have module_count() modules.  Groups are sharded across
-  /// workers, each writing its own disjoint slice; the history block is
-  /// synced before returning.
+  /// table to have module_count() modules.  The calling thread and the
+  /// workers claim groups one at a time, each writing the claimed group's
+  /// disjoint slice; the history block is synced before returning.  Every
+  /// group votes; a failure returns the first failing group's status in
+  /// group order, as RunBatchSequential does.
   Status RunBatch(std::span<const data::RoundTable> tables,
                   MultiGroupTrace& trace);
 
@@ -241,7 +250,8 @@ class MultiGroupEngine {
   std::vector<std::unique_ptr<obs::MetricsObserver>> observers_;
   /// Group-major record snapshot; see the layout note above.
   std::vector<double> history_block_;
-  /// Created on first RunBatch; sequential use never pays for threads.
+  /// thread_count() threads; created on first RunBatch, so sequential use
+  /// never pays for threads.
   std::unique_ptr<util::ThreadPool> pool_;
 };
 

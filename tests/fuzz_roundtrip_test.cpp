@@ -11,6 +11,7 @@
 #include "json/parse.h"
 #include "json/write.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace avoc {
 namespace {
@@ -57,9 +58,9 @@ json::Value RandomJson(Rng& rng, int depth) {
       json::Object object;
       const size_t n = rng.UniformInt(5);
       for (size_t i = 0; i < n; ++i) {
-        object.Set("k" + std::to_string(i) +
-                       std::string(rng.UniformInt(2), '"'),
-                   RandomJson(rng, depth - 1));
+        std::string key = StrFormat("k%zu", i);
+        key.append(rng.UniformInt(2), '"');
+        object.Set(key, RandomJson(rng, depth - 1));
       }
       return json::Value(std::move(object));
     }

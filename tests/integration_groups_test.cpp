@@ -12,6 +12,7 @@
 #include "runtime/group_manager.h"
 #include "sim/ble.h"
 #include "stats/ambiguity.h"
+#include "util/strings.h"
 #include "vdx/factory.h"
 
 namespace avoc {
@@ -97,7 +98,7 @@ TEST(GroupsIntegrationTest, AsynchronousStreamsFeedTheVoter) {
   Rng rng(77);
   std::vector<data::SampleStream> streams;
   for (size_t m = 0; m < 5; ++m) {
-    streams.emplace_back("s" + std::to_string(m));
+    streams.emplace_back(StrFormat("s%zu", m));
   }
   auto truth = [](double t) { return 100.0 + 5.0 * t; };
   for (size_t m = 0; m < 5; ++m) {

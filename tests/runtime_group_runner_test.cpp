@@ -169,7 +169,7 @@ std::string HexTrace(const SinkNode& sink) {
                        r.history[m], r.excluded[m] ? 1 : 0,
                        r.eliminated[m] ? 1 : 0);
     }
-    out += " " + r.status.ToString() + "\n";
+    out += StrFormat(" %s\n", r.status.ToString().c_str());
   }
   return out;
 }

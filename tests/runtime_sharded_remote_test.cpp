@@ -16,6 +16,7 @@
 #include "core/algorithms.h"
 #include "obs/metrics.h"
 #include "runtime/sim_net.h"
+#include "util/strings.h"
 
 namespace avoc::runtime {
 namespace {
@@ -294,7 +295,7 @@ TEST_F(ShardedSimTest, ShardScopedMetricsCountMigrationsAndForwards) {
     owned += static_cast<size_t>(
         registry_
             .GetGauge(obs::LabeledName("avoc_shard_groups", "shard",
-                                       "s" + std::to_string(s)))
+                                       StrFormat("s%zu", s)))
             .Value());
   }
   EXPECT_EQ(owned, kGroups.size());

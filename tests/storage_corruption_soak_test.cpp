@@ -22,6 +22,7 @@
 #include "storage/engine.h"
 #include "storage/io.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace avoc::storage {
 namespace {
@@ -38,7 +39,7 @@ std::string TempDir(const std::string& tag) {
 void Populate(StorageEngine& engine, avoc::Rng& rng) {
   const size_t groups = 1 + rng.UniformInt(4);
   for (size_t g = 0; g < groups; ++g) {
-    const std::string name = "g" + std::to_string(g);
+    const std::string name = StrFormat("g%zu", g);
     HistorySnapshot snapshot;
     const size_t modules = 1 + rng.UniformInt(6);
     for (size_t m = 0; m < modules; ++m) {

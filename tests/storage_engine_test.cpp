@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "util/strings.h"
 
 namespace avoc::storage {
 namespace {
@@ -200,7 +201,7 @@ TEST_F(StorageEngineTest, AutoCompactionTriggersOnWalGrowth) {
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(
         (*engine)
-            ->Put("g" + std::to_string(i % 10), Snapshot({0.1, 0.2, 0.3}, 1))
+            ->Put(StrFormat("g%d", i % 10), Snapshot({0.1, 0.2, 0.3}, 1))
             .ok());
   }
   EXPECT_GT((*engine)->stats().compactions, 0u);
